@@ -20,17 +20,12 @@ import (
 	"thermometer/internal/runner"
 )
 
-// The multi-process golden test: the same 4-policy × 8-workload grid must
-// produce byte-identical JSON and CSV output from
-//
-//   - a single-node in-process engine,
-//   - a coordinator with 1 worker process,
-//   - a coordinator with 3 worker processes, and
-//   - a coordinator with 3 worker processes, one SIGKILLed mid-sweep
-//     (its leases expire and requeue onto the survivors).
-//
-// This is the fabric's determinism contract ("any fleet size, any worker
-// death schedule") pinned end to end through real thermod binaries.
+// The process golden test: a real thermod binary, started with its default
+// flags on a loopback port, must serve the 4-policy × 8-workload grid with
+// results whose JSON and CSV renderings are byte-identical to an in-process
+// engine sweep, and must drain and exit 0 on SIGTERM. It pins what the
+// daemon adds on top of the engine (spec decoding, queueing, the job
+// envelope's results encoding) end to end over HTTP.
 
 var (
 	buildOnce sync.Once
@@ -62,18 +57,19 @@ func thermodBin(t *testing.T) string {
 
 // proc is one spawned thermod process.
 type proc struct {
-	cmd  *exec.Cmd
-	addr string
-	url  string
+	cmd    *exec.Cmd
+	addr   string
+	url    string
+	logged chan struct{} // closed once stderr reaches EOF (the process exited)
 }
 
 var listenRe = regexp.MustCompile(`listening on ([^ ]+) `)
 
-// startThermod launches the binary with -addr 127.0.0.1:0 plus args and
-// waits for its "listening on" line to learn the bound address.
-func startThermod(t *testing.T, args ...string) *proc {
+// startThermod launches the binary with -addr 127.0.0.1:0 and waits for its
+// "listening on" line to learn the bound address.
+func startThermod(t *testing.T) *proc {
 	t.Helper()
-	cmd := exec.Command(thermodBin(t), append([]string{"-addr", "127.0.0.1:0"}, args...)...)
+	cmd := exec.Command(thermodBin(t), "-addr", "127.0.0.1:0")
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +77,7 @@ func startThermod(t *testing.T, args ...string) *proc {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	p := &proc{cmd: cmd}
+	p := &proc{cmd: cmd, logged: make(chan struct{})}
 	t.Cleanup(func() {
 		if cmd.Process != nil {
 			_ = cmd.Process.Kill()
@@ -91,6 +87,7 @@ func startThermod(t *testing.T, args ...string) *proc {
 
 	addrCh := make(chan string, 1)
 	go func() {
+		defer close(p.logged)
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
 			line := sc.Text()
@@ -105,7 +102,7 @@ func startThermod(t *testing.T, args ...string) *proc {
 	select {
 	case p.addr = <-addrCh:
 	case <-time.After(20 * time.Second):
-		t.Fatalf("thermod %v never reported its listen address", args)
+		t.Fatal("thermod never reported its listen address")
 	}
 	p.url = "http://" + p.addr
 	return p
@@ -147,15 +144,15 @@ type jobDoc struct {
 	Results []runner.Result `json:"results"`
 }
 
-// submitAndWait posts the specs to a coordinator and polls the job until it
+// submitAndWait posts the specs to thermod and polls the job until it
 // reaches a terminal state, returning its results.
-func submitAndWait(t *testing.T, coordURL string, specs []runner.Spec, during func(jobID string)) []runner.Result {
+func submitAndWait(t *testing.T, baseURL string, specs []runner.Spec) []runner.Result {
 	t.Helper()
 	body, err := json.Marshal(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(coordURL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(baseURL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,16 +161,13 @@ func submitAndWait(t *testing.T, coordURL string, specs []runner.Spec, during fu
 	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil || job.ID == "" {
 		t.Fatalf("submit: status %s, decode err %v, job %+v", resp.Status, err, job)
 	}
-	if during != nil {
-		during(job.ID)
-	}
 
 	deadline := time.Now().Add(3 * time.Minute)
 	for {
 		if time.Now().After(deadline) {
 			t.Fatalf("job %s did not finish", job.ID)
 		}
-		res, err := http.Get(coordURL + "/v1/jobs/" + job.ID)
+		res, err := http.Get(baseURL + "/v1/jobs/" + job.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,170 +187,32 @@ func submitAndWait(t *testing.T, coordURL string, specs []runner.Spec, during fu
 	}
 }
 
-// fabricState mirrors the fields of GET /fabric/v1/state the test reads.
-type fabricState struct {
-	Filled  int `json:"filled"`
-	Total   int `json:"total"`
-	Workers []struct {
-		Name   string `json:"name"`
-		Active int    `json:"active"`
-	} `json:"workers"`
-}
-
-func getFabricState(t *testing.T, coordURL string) fabricState {
-	t.Helper()
-	res, err := http.Get(coordURL + "/fabric/v1/state")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Body.Close()
-	var st fabricState
-	if err := json.NewDecoder(res.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	return st
-}
-
-// startFleet launches a coordinator and n named workers against it, and
-// waits until every worker is registered and ready.
-func startFleet(t *testing.T, n int) (*proc, []*proc) {
-	t.Helper()
-	coord := startThermod(t,
-		"-coordinator", "-heartbeat", "25ms", "-lease-ttl", "250ms", "-lease-size", "2")
-	workers := make([]*proc, n)
-	for i := range workers {
-		workers[i] = startThermod(t,
-			"-worker", coord.url, "-name", fmt.Sprintf("w%d", i), "-workers", "1")
-	}
-	deadline := time.Now().Add(20 * time.Second)
-	for _, w := range workers {
-		for {
-			if time.Now().After(deadline) {
-				t.Fatal("worker never became ready")
-			}
-			res, err := http.Get(w.url + "/readyz")
-			if err == nil {
-				ok := res.StatusCode == http.StatusOK
-				res.Body.Close()
-				if ok {
-					break
-				}
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-	return coord, workers
-}
-
-func TestFleetGoldenByteIdentity(t *testing.T) {
+func TestSingleNodeGoldenByteIdentity(t *testing.T) {
 	if testing.Short() {
-		t.Skip("spawns thermod processes and runs real sweeps")
+		t.Skip("spawns a thermod process and runs a real sweep")
 	}
 	specs := goldenSpecs(t)
-	single := (&runner.Engine{}).Sweep(context.Background(), specs)
-	wantJSON, wantCSV := goldenBytes(t, single)
+	wantJSON, wantCSV := goldenBytes(t, (&runner.Engine{}).Sweep(context.Background(), specs))
 
-	run := func(t *testing.T, n int, during func(coordURL string, workers []*proc) func(string)) {
-		coord, workers := startFleet(t, n)
-		var hook func(string)
-		if during != nil {
-			hook = during(coord.url, workers)
-		}
-		results := submitAndWait(t, coord.url, specs, hook)
-		gotJSON, gotCSV := goldenBytes(t, results)
-		if gotJSON != wantJSON {
-			t.Fatalf("fleet JSON diverges from single-node (%d workers):\n%s",
-				n, firstDiff(wantJSON, gotJSON))
-		}
-		if gotCSV != wantCSV {
-			t.Fatalf("fleet CSV diverges from single-node (%d workers):\n%s",
-				n, firstDiff(wantCSV, gotCSV))
-		}
+	p := startThermod(t)
+	gotJSON, gotCSV := goldenBytes(t, submitAndWait(t, p.url, specs))
+	if gotJSON != wantJSON {
+		t.Fatalf("thermod JSON diverges from the in-process engine:\n%s", firstDiff(wantJSON, gotJSON))
+	}
+	if gotCSV != wantCSV {
+		t.Fatalf("thermod CSV diverges from the in-process engine:\n%s", firstDiff(wantCSV, gotCSV))
 	}
 
-	t.Run("one_worker", func(t *testing.T) { run(t, 1, nil) })
-	t.Run("three_workers", func(t *testing.T) { run(t, 3, nil) })
-	t.Run("three_workers_one_killed", func(t *testing.T) {
-		run(t, 3, func(coordURL string, workers []*proc) func(string) {
-			return func(string) {
-				// Wait until w0 holds leased jobs mid-sweep, then SIGKILL it.
-				// Its leases expire after the 250ms TTL and requeue onto the
-				// survivors; the merged output must not change by a byte.
-				deadline := time.Now().Add(30 * time.Second)
-				for {
-					st := getFabricState(t, coordURL)
-					active := 0
-					for _, w := range st.Workers {
-						if w.Name == "w0" {
-							active = w.Active
-						}
-					}
-					if active > 0 && st.Filled < st.Total {
-						break
-					}
-					if st.Filled == st.Total && st.Total > 0 {
-						t.Log("sweep finished before the kill window; death schedule not exercised")
-						return
-					}
-					if time.Now().After(deadline) {
-						t.Fatal("w0 never took a lease")
-					}
-					time.Sleep(5 * time.Millisecond)
-				}
-				if err := workers[0].cmd.Process.Signal(syscall.SIGKILL); err != nil {
-					t.Fatal(err)
-				}
-				t.Log("killed w0 mid-sweep")
-			}
-		})
-	})
-}
-
-// TestWorkerProbeEndpoints pins the worker process's serving surface:
-// /healthz is 200 from the start, /readyz flips to 200 only once the worker
-// has registered with its coordinator.
-func TestWorkerProbeEndpoints(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns thermod processes")
-	}
-	// A worker pointed at a dead coordinator: healthy but never ready.
-	orphan := startThermod(t, "-worker", "http://127.0.0.1:1", "-name", "orphan")
-	res, err := http.Get(orphan.url + "/healthz")
-	if err != nil {
+	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		t.Fatalf("orphan /healthz = %d, want 200", res.StatusCode)
+	select {
+	case <-p.logged:
+	case <-time.After(30 * time.Second):
+		t.Fatal("thermod still running 30s after SIGTERM")
 	}
-	res, err = http.Get(orphan.url + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Body.Close()
-	if res.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("orphan /readyz = %d, want 503", res.StatusCode)
-	}
-
-	// A real fleet: startFleet already asserts /readyz reaches 200.
-	coord, _ := startFleet(t, 1)
-	for _, path := range []string{"/healthz", "/readyz"} {
-		res, err := http.Get(coord.url + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res.Body.Close()
-		if res.StatusCode != http.StatusOK {
-			t.Fatalf("coordinator %s = %d, want 200", path, res.StatusCode)
-		}
-	}
-}
-
-// TestCoordinatorWorkerFlagConflict pins the mode guard.
-func TestCoordinatorWorkerFlagConflict(t *testing.T) {
-	err := run(config{coordinator: true, workerURL: "http://x"})
-	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("err = %v, want mutual-exclusion error", err)
+	if err := p.cmd.Wait(); err != nil {
+		t.Fatalf("thermod exit after SIGTERM: %v, want status 0", err)
 	}
 }
 

@@ -13,18 +13,6 @@
 //	GET  /debug/spans          lifecycle spans as Chrome trace JSON
 //	GET  /debug/pprof/         runtime profiles
 //
-// Fleet modes layer the distributed sweep fabric (internal/fabric) on the
-// same serving stack:
-//
-//	-coordinator           jobs are partitioned into leases and executed by
-//	                       remote workers; adds the /fabric/v1/* fleet API
-//	                       and the fleet panel on /debug/sweep. The jobs API
-//	                       and event streams are unchanged.
-//	-worker <url>          no jobs API; registers with the coordinator at
-//	                       <url>, heartbeats, executes leased jobs on a
-//	                       local engine, and serves /healthz, /readyz (ready
-//	                       once registered), and /metrics.
-//
 // SIGINT/SIGTERM starts a graceful drain: /readyz flips to 503 immediately,
 // new submissions get ErrDraining, queued and running sweeps are given
 // -drain to finish, then pending jobs are canceled.
@@ -32,7 +20,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -43,14 +30,13 @@ import (
 	"syscall"
 	"time"
 
-	"thermometer/internal/fabric"
 	"thermometer/internal/runner"
 	"thermometer/internal/server"
 	"thermometer/internal/telemetry"
 	"thermometer/internal/telemetry/span"
 )
 
-// config collects every flag so the three modes share one validated bundle.
+// config collects every flag.
 type config struct {
 	addr      string
 	workers   int
@@ -60,13 +46,6 @@ type config struct {
 	cacheDir  string
 	drain     time.Duration
 	spancap   int
-
-	coordinator bool
-	workerURL   string
-	name        string
-	leaseTTL    time.Duration
-	heartbeat   time.Duration
-	leaseSize   int
 }
 
 func main() {
@@ -79,12 +58,6 @@ func main() {
 	flag.StringVar(&cfg.cacheDir, "cachedir", "", "on-disk result-cache directory (empty = memory only)")
 	flag.DurationVar(&cfg.drain, "drain", 30*time.Second, "graceful-drain timeout on SIGINT/SIGTERM")
 	flag.IntVar(&cfg.spancap, "spancap", 16384, "lifecycle span ring capacity (0 = tracing off)")
-	flag.BoolVar(&cfg.coordinator, "coordinator", false, "run as fleet coordinator: lease jobs to remote workers instead of simulating locally")
-	flag.StringVar(&cfg.workerURL, "worker", "", "run as fleet worker for the coordinator at this base URL (e.g. http://host:8080)")
-	flag.StringVar(&cfg.name, "name", "", "worker label shown on the coordinator's fleet panel")
-	flag.DurationVar(&cfg.leaseTTL, "lease-ttl", fabric.DefaultLeaseTTL, "coordinator: heartbeat age after which a worker's jobs requeue")
-	flag.DurationVar(&cfg.heartbeat, "heartbeat", fabric.DefaultHeartbeat, "coordinator: heartbeat/poll interval advertised to workers")
-	flag.IntVar(&cfg.leaseSize, "lease-size", fabric.DefaultLeaseSize, "coordinator: max jobs per lease grant")
 	flag.Parse()
 
 	if err := run(cfg); err != nil {
@@ -93,61 +66,32 @@ func main() {
 	}
 }
 
+// run serves the jobs API and debug surface until SIGINT/SIGTERM, then
+// drains.
 func run(cfg config) error {
-	if cfg.coordinator && cfg.workerURL != "" {
-		return errors.New("-coordinator and -worker are mutually exclusive")
-	}
-	if cfg.workerURL != "" {
-		return runWorker(cfg)
-	}
-	return runServer(cfg)
-}
-
-// runServer is the single-node and coordinator path: the full jobs API and
-// debug surface, with the sweep runner chosen by mode.
-func runServer(cfg config) error {
 	cache, err := runner.NewCache(cfg.cacheSize, cfg.cacheDir)
 	if err != nil {
 		return fmt.Errorf("result cache: %w", err)
 	}
 	obs := telemetry.New(telemetry.Options{})
 	// The span tracer is shared by the server (accept/queue/sweep spans) and
-	// the sweep runner (per-job or per-lease spans). A nil tracer is inert,
-	// so -spancap 0 turns the whole surface off with no hot-path cost.
+	// the engine (per-job spans). A nil tracer is inert, so -spancap 0 turns
+	// the whole surface off with no hot-path cost.
 	var spans *span.Tracer
 	if cfg.spancap > 0 {
 		spans = span.New(func() int64 { return time.Now().UnixNano() }, cfg.spancap)
 	}
 
-	var sweeper server.SweepRunner
-	var coord *fabric.Coordinator
-	if cfg.coordinator {
-		coord, err = fabric.NewCoordinator(fabric.Options{
-			NowNanos:  func() int64 { return time.Now().UnixNano() },
-			LeaseTTL:  cfg.leaseTTL,
-			Heartbeat: cfg.heartbeat,
-			LeaseSize: cfg.leaseSize,
-			Cache:     cache,
-			Metrics:   obs.Metrics,
-			Spans:     spans,
-		})
-		if err != nil {
-			return fmt.Errorf("coordinator: %w", err)
-		}
-		sweeper = coord
-	} else {
-		engine := &runner.Engine{
-			Workers:  cfg.workers,
-			Cache:    cache,
-			Metrics:  obs.Metrics,
-			NowNanos: func() int64 { return time.Now().UnixNano() },
-			Spans:    spans,
-		}
-		engine.PublishMetrics()
-		sweeper = engine
+	engine := &runner.Engine{
+		Workers:  cfg.workers,
+		Cache:    cache,
+		Metrics:  obs.Metrics,
+		NowNanos: func() int64 { return time.Now().UnixNano() },
+		Spans:    spans,
 	}
+	engine.PublishMetrics()
 
-	srv := server.New(sweeper, server.Options{
+	srv := server.New(engine, server.Options{
 		QueueDepth: cfg.queue,
 		MaxSpecs:   cfg.maxSpecs,
 		Metrics:    obs.Metrics,
@@ -155,7 +99,7 @@ func runServer(cfg config) error {
 	})
 
 	// One mux serves the job API and the telemetry/debug surface.
-	mounts := []telemetry.Mount{
+	handler := obs.Handler([]telemetry.Mount{
 		{Pattern: "/v1/jobs", Handler: srv},
 		{Pattern: "/healthz", Handler: srv.Healthz()},
 		{Pattern: "/readyz", Handler: srv.Readyz()},
@@ -164,11 +108,7 @@ func runServer(cfg config) error {
 			w.Header().Set("Content-Type", "application/json")
 			_ = spans.WriteChromeTrace(w)
 		})},
-	}
-	if coord != nil {
-		mounts = append(mounts, telemetry.Mount{Pattern: "/fabric/v1/", Handler: coord})
-	}
-	handler := obs.Handler(mounts...)
+	}...)
 
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
@@ -177,12 +117,8 @@ func runServer(cfg config) error {
 	httpSrv := &http.Server{Handler: handler}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-	mode := "single-node"
-	if cfg.coordinator {
-		mode = "coordinator"
-	}
-	log.Printf("thermod listening on %s (mode=%s workers=%d queue=%d cache=%d dir=%q)",
-		ln.Addr(), mode, cfg.workers, cfg.queue, cfg.cacheSize, cfg.cacheDir)
+	log.Printf("thermod listening on %s (workers=%d queue=%d cache=%d dir=%q)",
+		ln.Addr(), cfg.workers, cfg.queue, cfg.cacheSize, cfg.cacheDir)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -198,65 +134,5 @@ func runServer(cfg config) error {
 	if err := srv.Shutdown(drainCtx); err != nil {
 		log.Printf("thermod drain incomplete: %v (pending jobs canceled)", err)
 	}
-	return httpSrv.Shutdown(context.Background())
-}
-
-// runWorker is the fleet-worker path: a local engine driven by leases from
-// the coordinator, with only the probe and metrics surface exposed.
-func runWorker(cfg config) error {
-	cache, err := runner.NewCache(cfg.cacheSize, cfg.cacheDir)
-	if err != nil {
-		return fmt.Errorf("result cache: %w", err)
-	}
-	obs := telemetry.New(telemetry.Options{})
-	engine := &runner.Engine{
-		Workers:  cfg.workers,
-		Cache:    cache,
-		Metrics:  obs.Metrics,
-		NowNanos: func() int64 { return time.Now().UnixNano() },
-	}
-	engine.PublishMetrics()
-	wk := &fabric.Worker{
-		Coordinator: cfg.workerURL,
-		Engine:      engine,
-		Name:        cfg.name,
-		Metrics:     obs.Metrics,
-	}
-
-	handler := obs.Handler(
-		telemetry.Mount{Pattern: "/healthz", Handler: server.ReadyFunc(func() bool { return true }, "")},
-		telemetry.Mount{Pattern: "/readyz", Handler: server.ReadyFunc(wk.Ready, "not registered with coordinator")},
-	)
-	ln, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: handler}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-	log.Printf("thermod listening on %s (mode=worker coordinator=%s workers=%d cache=%d dir=%q)",
-		ln.Addr(), cfg.workerURL, cfg.workers, cfg.cacheSize, cfg.cacheDir)
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	workerErr := make(chan error, 1)
-	go func() { workerErr <- wk.Run(ctx) }()
-
-	select {
-	case err := <-serveErr:
-		stop()
-		<-workerErr // Run returns once ctx is canceled by stop
-		return err
-	case err := <-workerErr:
-		if err != nil && !errors.Is(err, context.Canceled) {
-			_ = httpSrv.Shutdown(context.Background())
-			return err
-		}
-	case <-ctx.Done():
-		// Abandon the current lease (the coordinator's expiry requeues it)
-		// and stop advertising readiness before the listener closes.
-		<-workerErr
-	}
-	log.Printf("thermod worker stopping")
 	return httpSrv.Shutdown(context.Background())
 }

@@ -1,5 +1,8 @@
 // Package ctxflow implements the thermolint analyzer that enforces context
-// plumbing through the sweep fabric.
+// plumbing through the sweep engine and the thermod server. A thermod drain
+// cancels the runner's unstarted jobs through the context handed to the
+// sweep, and each SSE stream ends with its request's context; both hold only
+// if no layer in between drops or replaces the caller's context.
 //
 // Three rules:
 //
@@ -28,10 +31,8 @@ import (
 var Scope = regexp.MustCompile(`^thermometer/internal/`)
 
 // LoopScope selects the long-lived engine/serving packages whose select
-// loops must be cancelable. fabric joined with the fleet worker: its
-// heartbeat and lease-poll loops run for the process lifetime and must die
-// with the worker's context. Tests override it.
-var LoopScope = regexp.MustCompile(`^thermometer/internal/(runner|server|telemetry|fabric)(/|$)`)
+// loops must be cancelable. Tests override it.
+var LoopScope = regexp.MustCompile(`^thermometer/internal/(runner|server|telemetry)(/|$)`)
 
 // shutdownChan matches channel identifiers conventionally used to stop a
 // loop.

@@ -2,10 +2,10 @@
 // floating-point reductions in a deterministic order.
 //
 // Float addition does not commute in rounding: summing the same values in a
-// different order produces a different last bit, which breaks the
-// byte-identical-output contract the sweep fabric promises at any worker
-// count. The analyzer flags `+=`/`-=` on float lvalues when the accumulation
-// order is not fixed:
+// different order produces a different last bit, which breaks the runner's
+// contract that a sweep's output is byte-identical at any pool width. The
+// analyzer flags `+=`/`-=` on float lvalues when the accumulation order is
+// not fixed:
 //
 //   - inside a ForEach/forEach/SweepProgress callback or a go statement,
 //     when the accumulator is captured from the enclosing scope (concurrent

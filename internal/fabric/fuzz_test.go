@@ -74,31 +74,6 @@ func FuzzDecodeLeaseRequest(f *testing.F) {
 	})
 }
 
-func FuzzDecodeLeaseResponse(f *testing.F) {
-	f.Add([]byte(`{"poll_ms":2000}`))
-	f.Add([]byte(`{"lease":{"lease_id":"l","sweep":"s","jobs":[{"index":0,"key":"k","spec":{"app":"kafka"}}]}}`))
-	f.Add([]byte(`{"lease":{"lease_id":"l","sweep":"s","jobs":[{"index":1048576,"key":"k"}]}}`))
-	f.Add([]byte(`{"lease":{"lease_id":"l","sweep":"s","jobs":[]}}`))
-	f.Add([]byte(`{"lease":null,"poll_ms":-5}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeLeaseResponse(data)
-		if err != nil {
-			return
-		}
-		if g := m.Lease; g != nil {
-			if len(g.Jobs) == 0 || len(g.Jobs) > MaxLeaseJobs {
-				t.Fatalf("accepted grant with %d jobs", len(g.Jobs))
-			}
-			for _, j := range g.Jobs {
-				if j.Index < 0 || j.Index >= MaxJobIndex || j.Key == "" {
-					t.Fatalf("accepted bad job %+v", j)
-				}
-			}
-		}
-		roundTrip(t, DecodeLeaseResponse, m)
-	})
-}
-
 func FuzzDecodeComplete(f *testing.F) {
 	f.Add([]byte(`{"worker_id":"w","lease_id":"l","sweep":"s","results":[{"index":0,"state":"done","result":{"spec":{"app":"kafka"},"key":"k","outcome":{"trace":"kafka","instructions":1,"accesses":1,"hits":1,"misses":0,"mpki":0}}}]}`))
 	f.Add([]byte(`{"worker_id":"w","lease_id":"l","sweep":"s","results":[{"index":0,"state":"failed","result":{"error":"boom"}}]}`))

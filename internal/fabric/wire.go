@@ -1,3 +1,14 @@
+// Package fabric holds the strict JSON decoders for the four requests a
+// sweep coordinator received from its workers: register, heartbeat, lease
+// request and completion report. Each decoder rejects unknown fields and
+// trailing data, and bounds every collection size before walking it (the
+// boundedalloc analyzer's no-trusted-count-preallocation rule); the fuzzers
+// in fuzz_test.go hold them to "never panic, and accepted input round-trips".
+//
+// Deprecated: the coordinator, the worker and thermod's -coordinator and
+// -worker modes are gone, because single-node thermod runs the whole paper
+// (DESIGN.md §12). Nothing imports this package; it remains only until its
+// removal.
 package fabric
 
 import (
@@ -9,21 +20,9 @@ import (
 	"thermometer/internal/runner"
 )
 
-// Wire messages for the coordinator/worker protocol. Everything is JSON over
-// HTTP: small, debuggable with curl, and strict — unknown fields are
-// rejected so a version skew between coordinator and worker fails loudly
-// instead of silently dropping a field.
-//
-// Both sides treat the peer as untrusted input: every decoder bounds the
-// collection sizes it will accept before touching them (the boundedalloc
-// analyzer's no-trusted-count-preallocation rule), and the fuzzers in
-// fuzz_test.go hold the decoders to "never panic, and accepted input
-// round-trips".
-
-// Wire bounds. MaxLeaseJobs caps the jobs in one lease grant and the
-// results in one completion report; MaxJobIndex caps a job's sweep index
-// (comfortably above the server's 4096-spec submission cap, with room for
-// embedders that raise it).
+// Wire bounds. MaxLeaseJobs caps a lease request's max and the results in
+// one completion report; MaxJobIndex caps a result's sweep index
+// (comfortably above the server's 4096-spec submission cap).
 const (
 	MaxLeaseJobs = 4096
 	MaxJobIndex  = 1 << 20
@@ -33,23 +32,8 @@ const (
 
 // RegisterRequest announces a worker to the coordinator.
 type RegisterRequest struct {
-	// Name is a human-readable worker label (host:port, hostname); it shows
-	// up on /debug/sweep. Optional.
+	// Name is a human-readable worker label (host:port, hostname). Optional.
 	Name string `json:"name,omitempty"`
-}
-
-// RegisterResponse assigns the worker its identity and the fleet timing
-// parameters it must honor.
-type RegisterResponse struct {
-	WorkerID string `json:"worker_id"`
-	// HeartbeatMs is how often the worker must beat (and how often it
-	// should poll for leases when idle).
-	HeartbeatMs int64 `json:"heartbeat_ms"`
-	// LeaseTTLMs is the heartbeat age after which the coordinator declares
-	// the worker dead and requeues its jobs.
-	LeaseTTLMs int64 `json:"lease_ttl_ms"`
-	// LeaseSize is the maximum jobs the coordinator grants per lease.
-	LeaseSize int `json:"lease_size"`
 }
 
 // Heartbeat is a worker liveness beat (also implicit in every lease and
@@ -63,33 +47,6 @@ type Heartbeat struct {
 type LeaseRequest struct {
 	WorkerID string `json:"worker_id"`
 	Max      int    `json:"max,omitempty"`
-}
-
-// LeaseJob is one job inside a lease grant: the sweep slot it fills and the
-// normalized spec to execute. Key is the spec's content address — the
-// shared-cache key — precomputed by the coordinator so the worker never has
-// to re-derive it.
-type LeaseJob struct {
-	Index int         `json:"index"`
-	Key   string      `json:"key"`
-	Spec  runner.Spec `json:"spec"`
-}
-
-// LeaseGrant is a batch of jobs assigned to one worker.
-type LeaseGrant struct {
-	LeaseID string     `json:"lease_id"`
-	Sweep   string     `json:"sweep"`
-	Jobs    []LeaseJob `json:"jobs"`
-	// Stolen marks a grant carved out of another worker's lease (the
-	// victim's un-started tail); informational.
-	Stolen bool `json:"stolen,omitempty"`
-}
-
-// LeaseResponse answers a lease request. A nil Lease means no work is
-// available right now; the worker should poll again after PollMs.
-type LeaseResponse struct {
-	Lease  *LeaseGrant `json:"lease,omitempty"`
-	PollMs int64       `json:"poll_ms,omitempty"`
 }
 
 // JobResult is one completed job inside a completion report. State is the
@@ -108,16 +65,6 @@ type CompleteRequest struct {
 	LeaseID  string      `json:"lease_id"`
 	Sweep    string      `json:"sweep"`
 	Results  []JobResult `json:"results"`
-}
-
-// CompleteResponse acknowledges a completion report. Duplicates counts
-// results for slots already filled (steal and requeue races — harmless,
-// first write wins); Rejected counts results that failed integrity checks
-// (key mismatch, bad state) and were discarded.
-type CompleteResponse struct {
-	Accepted   int `json:"accepted"`
-	Duplicates int `json:"duplicates,omitempty"`
-	Rejected   int `json:"rejected,omitempty"`
 }
 
 // strictDecode unmarshals JSON with unknown fields rejected and trailing
@@ -189,56 +136,10 @@ func DecodeLeaseRequest(data []byte) (LeaseRequest, error) {
 	return m, nil
 }
 
-// DecodeLeaseResponse parses and validates a lease grant as received by a
-// worker. Every job index must be in range and every job must carry a
-// non-empty key; the job count is bounded by MaxLeaseJobs before the slice
-// is walked.
-func DecodeLeaseResponse(data []byte) (LeaseResponse, error) {
-	var m LeaseResponse
-	if err := strictDecode(data, &m); err != nil {
-		return LeaseResponse{}, err
-	}
-	if m.PollMs < 0 {
-		return LeaseResponse{}, fmt.Errorf("negative poll_ms %d", m.PollMs)
-	}
-	if m.Lease == nil {
-		return m, nil
-	}
-	g := m.Lease
-	if g.LeaseID == "" || g.Sweep == "" {
-		return LeaseResponse{}, errors.New("lease grant missing lease_id or sweep")
-	}
-	if err := checkName("lease_id", g.LeaseID); err != nil {
-		return LeaseResponse{}, err
-	}
-	if err := checkName("sweep", g.Sweep); err != nil {
-		return LeaseResponse{}, err
-	}
-	if len(g.Jobs) == 0 {
-		return LeaseResponse{}, errors.New("lease grant with no jobs")
-	}
-	if len(g.Jobs) > MaxLeaseJobs {
-		return LeaseResponse{}, fmt.Errorf("lease grant of %d jobs exceeds the %d-job bound", len(g.Jobs), MaxLeaseJobs)
-	}
-	for i := range g.Jobs {
-		j := &g.Jobs[i]
-		if j.Index < 0 || j.Index >= MaxJobIndex {
-			return LeaseResponse{}, fmt.Errorf("job %d: index %d out of range [0, %d)", i, j.Index, MaxJobIndex)
-		}
-		if j.Key == "" {
-			return LeaseResponse{}, fmt.Errorf("job %d: missing key", i)
-		}
-		if err := checkName("key", j.Key); err != nil {
-			return LeaseResponse{}, err
-		}
-	}
-	return m, nil
-}
-
 // DecodeComplete parses and validates a completion report as received by
 // the coordinator. The result count is bounded before the slice is walked;
-// per-result integrity (key matches the sweep slot's spec) is the
-// coordinator's job, since only it knows the sweep.
+// per-result integrity (key matches the sweep slot's spec) needs the sweep,
+// which the decoder does not see.
 func DecodeComplete(data []byte) (CompleteRequest, error) {
 	var m CompleteRequest
 	if err := strictDecode(data, &m); err != nil {

@@ -54,53 +54,6 @@ func TestDecodeLeaseRequestClampsMax(t *testing.T) {
 	}
 }
 
-func TestDecodeLeaseResponse(t *testing.T) {
-	// A poll answer (no lease) is valid.
-	resp, err := DecodeLeaseResponse([]byte(`{"poll_ms":2000}`))
-	if err != nil || resp.Lease != nil || resp.PollMs != 2000 {
-		t.Fatalf("got %+v, %v", resp, err)
-	}
-
-	grant := LeaseResponse{Lease: &LeaseGrant{
-		LeaseID: "lease-000001", Sweep: "sweep-000001",
-		Jobs: []LeaseJob{{Index: 3, Key: "abc", Spec: runner.Spec{App: "kafka"}}},
-	}}
-	b, _ := json.Marshal(grant)
-	got, err := DecodeLeaseResponse(b)
-	if err != nil || got.Lease == nil || got.Lease.Jobs[0].Index != 3 {
-		t.Fatalf("round-trip: %+v, %v", got, err)
-	}
-
-	bad := []string{
-		`{"poll_ms":-1}`,
-		`{"lease":{"lease_id":"","sweep":"s","jobs":[{"index":0,"key":"k"}]}}`,
-		`{"lease":{"lease_id":"l","sweep":"s","jobs":[]}}`,
-		`{"lease":{"lease_id":"l","sweep":"s","jobs":[{"index":-1,"key":"k"}]}}`,
-		fmt.Sprintf(`{"lease":{"lease_id":"l","sweep":"s","jobs":[{"index":%d,"key":"k"}]}}`, MaxJobIndex),
-		`{"lease":{"lease_id":"l","sweep":"s","jobs":[{"index":0,"key":""}]}}`,
-	}
-	for _, in := range bad {
-		if _, err := DecodeLeaseResponse([]byte(in)); err == nil {
-			t.Errorf("accepted %q", in)
-		}
-	}
-}
-
-func TestDecodeLeaseResponseBoundsJobCount(t *testing.T) {
-	var sb strings.Builder
-	sb.WriteString(`{"lease":{"lease_id":"l","sweep":"s","jobs":[`)
-	for i := 0; i <= MaxLeaseJobs; i++ {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		fmt.Fprintf(&sb, `{"index":%d,"key":"k"}`, i)
-	}
-	sb.WriteString(`]}}`)
-	if _, err := DecodeLeaseResponse([]byte(sb.String())); err == nil {
-		t.Fatalf("grant of %d jobs accepted (bound is %d)", MaxLeaseJobs+1, MaxLeaseJobs)
-	}
-}
-
 func TestDecodeComplete(t *testing.T) {
 	req := CompleteRequest{
 		WorkerID: "w-000001", LeaseID: "lease-000001", Sweep: "sweep-000001",
@@ -137,20 +90,5 @@ func TestDecodeRegister(t *testing.T) {
 	long := fmt.Sprintf(`{"name":%q}`, strings.Repeat("x", maxWireName+1))
 	if _, err := DecodeRegister([]byte(long)); err == nil {
 		t.Fatal("oversized name accepted")
-	}
-}
-
-func TestIsSpecKey(t *testing.T) {
-	valid := strings.Repeat("0123456789abcdef", 4)
-	if !isSpecKey(valid) {
-		t.Fatalf("rejected %q", valid)
-	}
-	for _, k := range []string{
-		"", "short", strings.Repeat("g", 64), strings.ToUpper(valid),
-		valid + "0", "../" + valid[3:],
-	} {
-		if isSpecKey(k) {
-			t.Errorf("accepted %q", k)
-		}
 	}
 }

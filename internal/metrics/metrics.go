@@ -266,10 +266,3 @@ func Percentile(xs []float64, p float64) float64 {
 // bars (Figs 12, 13, 17), which average percentage speedups across
 // applications rather than taking a geometric mean of speedup ratios.
 func MeanSpeedup(xs []float64) float64 { return Mean(xs) }
-
-// GeoMeanSpeedup is a deprecated alias for MeanSpeedup, kept because the
-// old name wrongly suggested a geometric mean while the implementation has
-// always been (correctly, per the paper's "Avg" convention) arithmetic.
-//
-// Deprecated: use MeanSpeedup.
-func GeoMeanSpeedup(xs []float64) float64 { return MeanSpeedup(xs) }

@@ -237,10 +237,6 @@ func TestMeanSpeedup(t *testing.T) {
 	if got := MeanSpeedup(xs); math.Abs(got-0.30) > 1e-12 {
 		t.Fatalf("MeanSpeedup = %v, want 0.30 (arithmetic mean)", got)
 	}
-	// The deprecated alias must agree forever.
-	if MeanSpeedup(xs) != GeoMeanSpeedup(xs) {
-		t.Fatal("GeoMeanSpeedup alias diverged from MeanSpeedup")
-	}
 	if MeanSpeedup(nil) != 0 {
 		t.Fatal("MeanSpeedup(nil) != 0")
 	}

@@ -118,20 +118,3 @@ func TestCacheDiskPromotion(t *testing.T) {
 		t.Fatalf("stats = %+v, want exactly one disk hit, one promotion, one memory hit", s)
 	}
 }
-
-// TestResultStateFallback pins the wire-side classification: a Result that
-// crossed a JSON boundary (no recorded state) classifies by Err presence.
-func TestResultStateFallback(t *testing.T) {
-	if got := (Result{}).State(); got != ProgressDone {
-		t.Fatalf("empty result state = %q, want %q", got, ProgressDone)
-	}
-	if got := (Result{Err: "boom"}).State(); got != ProgressFailed {
-		t.Fatalf("failed result state = %q, want %q", got, ProgressFailed)
-	}
-	// An engine-recorded state survives: "canceled: ..." wording stays
-	// canceled, not re-parsed.
-	r := Result{Err: "canceled: context canceled", state: ProgressCanceled}
-	if got := r.State(); got != ProgressCanceled {
-		t.Fatalf("recorded state = %q, want %q", got, ProgressCanceled)
-	}
-}

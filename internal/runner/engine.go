@@ -70,21 +70,6 @@ type Result struct {
 	state string
 }
 
-// State returns the result's terminal Progress* classification. For results
-// produced by an Engine it is the state recorded at the moment the outcome
-// was decided; for hand-built (or wire-decoded) Results it falls back to
-// ProgressDone/ProgressFailed by Err presence. The fabric worker uses it to
-// classify results without re-parsing Err wording.
-func (r Result) State() string {
-	if r.state != "" {
-		return r.state
-	}
-	if r.Err == "" {
-		return ProgressDone
-	}
-	return ProgressFailed
-}
-
 // Progress states reported to a SweepProgress callback. A job emits exactly
 // two notifications: ProgressStarted when a worker picks it up, then one of
 // the terminal states mirroring its Result.

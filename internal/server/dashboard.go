@@ -8,15 +8,9 @@ import "net/http"
 // done/cached/failed), live blocks/sec, and per-spec durations — so a long
 // sweep renders progressively instead of going dark until aggregation.
 //
-// When the daemon runs as a fleet coordinator the page also polls
-// GET /fabric/v1/state and renders the fleet panel: per-worker assignment,
-// heartbeat age, and steal/requeue counts. On a single-node daemon that
-// endpoint 404s and the panel stays hidden.
-//
 // The page is static: all data flows through the same public endpoints a
-// curl user sees (GET /v1/jobs, GET /v1/jobs/{id}, the events stream, and
-// GET /fabric/v1/state), so the dashboard adds no server state and no extra
-// locking.
+// curl user sees (GET /v1/jobs, GET /v1/jobs/{id}, and the events stream),
+// so the dashboard adds no server state and no extra locking.
 func (s *Server) Dashboard() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
@@ -58,12 +52,6 @@ const dashboardHTML = `<!doctype html>
 <div class="legend">queued<span class="queued"></span> running<span class="started"></span>
 done<span class="done"></span> cached<span class="cached"></span>
 failed<span class="failed"></span> canceled<span class="canceled"></span></div>
-<h2 id="fleettitle" hidden>fleet</h2>
-<div id="fleetstats" hidden></div>
-<table id="fleet" hidden><thead><tr>
-<th>worker</th><th>name</th><th>state</th><th>beat age</th><th>active</th>
-<th>done</th><th>failed</th><th>steals</th><th>stolen</th><th>requeued</th>
-</tr></thead><tbody></tbody></table>
 <h2>jobs</h2>
 <table id="jobs"><thead><tr>
 <th>id</th><th>state</th><th>specs</th><th>failed</th><th>submitted</th>
@@ -193,37 +181,8 @@ function logLine(time, text) {
   while (tbody.children.length > 50) tbody.removeChild(tbody.lastChild);
 }
 
-// refreshFleet polls the coordinator's fleet snapshot. Single-node daemons
-// have no /fabric/v1/state, so the first 404 hides the panel for good.
-let fleetGone = false;
-async function refreshFleet() {
-  if (fleetGone) return;
-  let res;
-  try { res = await fetch('/fabric/v1/state'); } catch { return; }
-  if (res.status === 404) { fleetGone = true; return; }
-  if (!res.ok) return;
-  const snap = await res.json();
-  for (const id of ['fleettitle', 'fleetstats', 'fleet'])
-    document.getElementById(id).hidden = false;
-  document.getElementById('fleetstats').textContent = snap.sweep
-    ? snap.sweep + ': ' + snap.filled + '/' + snap.total + ' filled · ' +
-      snap.pending + ' pending · ' + snap.outstanding + ' leased'
-    : 'no sweep in flight';
-  const tbody = document.querySelector('#fleet tbody');
-  tbody.innerHTML = '';
-  for (const w of snap.workers || []) {
-    const state = w.dead ? 'dead' : 'live';
-    tbody.appendChild(rowOf(
-      [w.id, w.name || '', state, w.heartbeat_age_ms + ' ms', w.active,
-       w.completed, w.failed || 0, w.steals || 0, w.stolen || 0, w.expired || 0],
-      [null, null, w.dead ? 'failed' : 'done']));
-  }
-}
-
 refreshJobs();
-refreshFleet();
 setInterval(refreshJobs, 2000);
-setInterval(refreshFleet, 2000);
 </script>
 </body>
 </html>

@@ -16,19 +16,15 @@ import (
 	"thermometer/internal/telemetry/span"
 )
 
-// progressRunner is a SweepRunner + ProgressRunner fake: it emits the
-// started/terminal notification pair per spec and, when step is non-nil,
-// waits for one step token before completing each spec — letting tests
-// freeze a sweep mid-flight.
-type progressRunner struct {
+// stepRunner is a SweepRunner fake that emits the started/terminal
+// notification pair per spec and, when step is non-nil, waits for one step
+// token before completing each spec — letting tests freeze a sweep
+// mid-flight.
+type stepRunner struct {
 	step chan struct{}
 }
 
-func (f *progressRunner) Sweep(ctx context.Context, specs []runner.Spec) []runner.Result {
-	return f.SweepProgress(ctx, specs, nil)
-}
-
-func (f *progressRunner) SweepProgress(ctx context.Context, specs []runner.Spec, fn func(runner.Progress)) []runner.Result {
+func (f *stepRunner) SweepProgress(ctx context.Context, specs []runner.Spec, fn func(runner.Progress)) []runner.Result {
 	results := make([]runner.Result, len(specs))
 	for i, sp := range specs {
 		if fn != nil {
@@ -150,7 +146,7 @@ func (c *sseClient) waitEnd(t *testing.T) {
 // must replay the events so far, then receive the remainder live and a
 // clean end-of-stream after the terminal state.
 func TestSSEMidSweep(t *testing.T) {
-	fr := &progressRunner{step: make(chan struct{})}
+	fr := &stepRunner{step: make(chan struct{})}
 	s := newTestServer(t, fr, Options{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -208,7 +204,7 @@ func TestSSEMidSweep(t *testing.T) {
 // TestSSEReplayCompletedJob pins that connecting after a job has finished
 // replays its whole event log — with dense sequence numbers — and closes.
 func TestSSEReplayCompletedJob(t *testing.T) {
-	s := newTestServer(t, &progressRunner{}, Options{})
+	s := newTestServer(t, &stepRunner{}, Options{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -253,7 +249,7 @@ func TestSSEReplayCompletedJob(t *testing.T) {
 // complete the job (and a later one) even though nobody is reading events,
 // and the dead client's watcher must be reaped.
 func TestSSEDisconnectDoesNotBlockDispatcher(t *testing.T) {
-	fr := &progressRunner{step: make(chan struct{})}
+	fr := &stepRunner{step: make(chan struct{})}
 	s := newTestServer(t, fr, Options{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -300,7 +296,7 @@ func TestSSEDisconnectDoesNotBlockDispatcher(t *testing.T) {
 // queue_wait, sweep, and the job root, all with IDs derived from the job ID.
 func TestServerSpans(t *testing.T) {
 	tr := span.New(func() int64 { return 0 }, 64) // server spans carry their own times
-	s := newTestServer(t, &progressRunner{}, Options{Spans: tr})
+	s := newTestServer(t, &stepRunner{}, Options{Spans: tr})
 	post(t, s.Handler(), `[{"app":"kafka"}]`)
 	waitState(t, s, "job-000001", StateDone)
 
@@ -333,7 +329,7 @@ func TestServerSpans(t *testing.T) {
 // log[seq:] reslice panics) or to be negative outright. The server must
 // treat both as "replay from the start" instead of crashing the handler.
 func TestSSEHostileLastEventID(t *testing.T) {
-	s := newTestServer(t, &progressRunner{}, Options{})
+	s := newTestServer(t, &stepRunner{}, Options{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -367,7 +363,7 @@ func TestSSEHostileLastEventID(t *testing.T) {
 // connection must receive ": keepalive" comment frames, and because comments
 // carry no id: line they must not disturb Last-Event-ID resume afterwards.
 func TestSSEKeepAlive(t *testing.T) {
-	fr := &progressRunner{step: make(chan struct{})}
+	fr := &stepRunner{step: make(chan struct{})}
 	s := newTestServer(t, fr, Options{KeepAlive: 20 * time.Millisecond})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -75,16 +75,3 @@ func TestReadyzFlipsOnDrainStart(t *testing.T) {
 		t.Fatalf("readyz after drain = %d, want 503 (still not accepting work)", w.Code)
 	}
 }
-
-// TestReadyFunc pins the adapter thermod's worker mode uses.
-func TestReadyFunc(t *testing.T) {
-	ready := false
-	h := ReadyFunc(func() bool { return ready }, "not registered")
-	if w := get(t, h, "/readyz"); w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("unready = %d, want 503", w.Code)
-	}
-	ready = true
-	if w := get(t, h, "/readyz"); w.Code != http.StatusOK {
-		t.Fatalf("ready = %d, want 200", w.Code)
-	}
-}

@@ -24,17 +24,10 @@ import (
 
 // SweepRunner executes one sweep; *runner.Engine is the production
 // implementation. Implementations must return one result per spec, in
-// order, and honor context cancellation between jobs.
+// order, and honor context cancellation between jobs. The per-spec
+// lifecycle notifications they send fn feed the jobs SSE stream and the
+// /debug/sweep dashboard.
 type SweepRunner interface {
-	Sweep(ctx context.Context, specs []runner.Spec) []runner.Result
-}
-
-// ProgressRunner is the optional streaming extension of SweepRunner:
-// runners that also implement it (runner.Engine does) feed the per-spec
-// lifecycle notifications behind the jobs SSE stream and the /debug/sweep
-// dashboard. Plain SweepRunners still work — their jobs just report only
-// job-level state transitions.
-type ProgressRunner interface {
 	SweepProgress(ctx context.Context, specs []runner.Spec, fn func(runner.Progress)) []runner.Result
 }
 
@@ -236,15 +229,10 @@ func (s *Server) dispatch() {
 		s.mu.Unlock()
 		s.recordSpan(job.ID, "queue_wait", job.SubmittedAt, now, "")
 
-		var results []runner.Result
 		total := len(job.Specs)
-		if pr, ok := s.runner.(ProgressRunner); ok {
-			results = pr.SweepProgress(s.runCtx, job.Specs, func(p runner.Progress) {
-				s.recordProgress(job.ID, total, p)
-			})
-		} else {
-			results = s.runner.Sweep(s.runCtx, job.Specs)
-		}
+		results := s.runner.SweepProgress(s.runCtx, job.Specs, func(p runner.Progress) {
+			s.recordProgress(job.ID, total, p)
+		})
 
 		end := s.opts.Clock().UTC()
 		failed := 0

@@ -15,14 +15,15 @@ import (
 )
 
 // fakeRunner completes sweeps instantly unless gate is set, in which case
-// every sweep blocks until the gate closes or the context cancels.
+// every sweep blocks until the gate closes or the context cancels. It sends
+// no progress notifications.
 type fakeRunner struct {
 	mu     sync.Mutex
 	sweeps int
 	gate   chan struct{}
 }
 
-func (f *fakeRunner) Sweep(ctx context.Context, specs []runner.Spec) []runner.Result {
+func (f *fakeRunner) SweepProgress(ctx context.Context, specs []runner.Spec, _ func(runner.Progress)) []runner.Result {
 	f.mu.Lock()
 	f.sweeps++
 	gate := f.gate
