@@ -2,8 +2,9 @@
 // into explainable per-decision records: *which* BTB evictions cost cycles
 // and *why* a replacement policy diverges from Belady OPT.
 //
-// Three cooperating pieces, all driven from the simulator's observer probes
-// (package core forwards btb.ProbeFunc events when a Recorder is attached):
+// Three cooperating pieces, all driven from the simulator's probe fan-out
+// (package core delivers every BTB probe event to an attached Recorder,
+// with the verdict of the run's shared same-geometry Belady shadow):
 //
 //   - a miss classifier that tags every demand BTB miss as compulsory
 //     (first touch), conflict (would hit a fully-associative Belady model of
@@ -14,8 +15,7 @@
 //     residents, then charges later misses of evicted-too-early branches
 //     back to the decision that evicted them. The identity
 //     charged − windfall = policy misses − OPT misses holds exactly,
-//     because every access is scored against a same-geometry incremental
-//     Belady shadow (belady.Shadow);
+//     because every access is scored against that same-geometry shadow;
 //   - a per-set occupancy and temperature heatmap sampled on the telemetry
 //     epoch grid.
 //
@@ -33,6 +33,7 @@ import (
 
 	"thermometer/internal/belady"
 	"thermometer/internal/btb"
+	"thermometer/internal/telemetry"
 )
 
 // MissClass is the taxonomy bucket of one demand BTB miss.
@@ -135,9 +136,10 @@ type Recorder struct {
 	policy     string // guarded by mu
 	sets, ways int    // guarded by mu
 
-	// Shadow reference models.
-	fa   *belady.FAShadow    // guarded by mu; equal-capacity fully-associative: classifier
-	opt  *belady.Shadow      // guarded by mu; same-geometry Belady: regret reference
+	// fa is the equal-capacity fully-associative Belady model the miss
+	// classifier runs; the same-geometry regret reference is core's shared
+	// shadow, whose verdict arrives with each demand event.
+	fa   *belady.FAShadow    // guarded by mu
 	seen map[uint64]struct{} // guarded by mu
 
 	// nextUse mirrors the *real* BTB residents' next-use positions (updated
@@ -145,19 +147,7 @@ type Recorder struct {
 	// contents is computable at decision time.
 	nextUse []int // guarded by mu
 
-	// Miss classification (post-warmup).
-	classes  [numMissClasses]uint64 // guarded by mu
-	accesses uint64                 // guarded by mu
-	hits     uint64                 // guarded by mu
-	misses   uint64                 // guarded by mu
-
-	// Regret accounting (post-warmup).
-	evictions    uint64 // guarded by mu
-	bypasses     uint64 // guarded by mu
-	agreeOPT     uint64 // guarded by mu
-	charged      uint64 // guarded by mu
-	unattributed uint64 // guarded by mu
-	windfall     uint64 // guarded by mu
+	c counts // guarded by mu
 
 	// pending maps an evicted (or bypassed) branch to the decision that
 	// last denied it residency; its next demand miss is charged there.
@@ -165,17 +155,17 @@ type Recorder struct {
 	perSet    []SetRegret              // guarded by mu
 	perBranch map[uint64]*BranchRegret // guarded by mu
 
-	// Decision ring (last RingCap decisions).
-	ring      []*Decision // guarded by mu
-	ringHead  int         // guarded by mu
-	ringTotal uint64      // guarded by mu
+	decisions *telemetry.Ring[*Decision] // guarded by mu; last RingCap decisions
+	heat      *telemetry.Ring[HeatRow]   // guarded by mu; last HeatCap epoch rows
+}
 
-	// Heatmap ring (last HeatCap epoch rows).
-	heat      []HeatRow // guarded by mu
-	heatHead  int       // guarded by mu
-	heatTotal uint64    // guarded by mu
-	heatCap   int
-	ringCap   int
+// counts are the measured region's counters, zeroed at the warmup reset.
+type counts struct {
+	classes                         [numMissClasses]uint64
+	accesses, hits, misses          uint64
+	optMisses                       uint64 // same-geometry shadow misses
+	evictions, bypasses, agreeOPT   uint64
+	charged, unattributed, windfall uint64
 }
 
 // New returns an unbound Recorder; the simulator calls Bind at attach time.
@@ -186,7 +176,10 @@ func New(opts Options) *Recorder {
 	if opts.HeatCap < 1 {
 		opts.HeatCap = 1024
 	}
-	return &Recorder{ringCap: opts.RingCap, heatCap: opts.HeatCap}
+	return &Recorder{
+		decisions: telemetry.NewRing[*Decision](opts.RingCap),
+		heat:      telemetry.NewRing[HeatRow](opts.HeatCap),
+	}
 }
 
 // Bind sizes the recorder for one run: the policy under audit and the BTB
@@ -197,65 +190,66 @@ func (r *Recorder) Bind(policy string, sets, ways int) {
 	r.policy = policy
 	r.sets, r.ways = sets, ways
 	r.fa = belady.NewFAShadow(sets * ways)
-	r.opt = belady.NewShadow(sets, ways)
 	r.seen = make(map[uint64]struct{}, 1<<12)
 	r.nextUse = make([]int, sets*ways)
 	r.pending = make(map[uint64]*Decision, 1<<10)
-	r.perSet = make([]SetRegret, sets)
+	r.reset()
+}
+
+// reset zeroes the measured region: counters, regret tables and both rings.
+// Caller holds r.mu.
+func (r *Recorder) reset() {
+	r.c = counts{}
+	r.perSet = make([]SetRegret, r.sets)
 	r.perBranch = make(map[uint64]*BranchRegret, 1<<10)
-	r.ring = make([]*Decision, 0, r.ringCap)
-	r.heat = make([]HeatRow, 0, r.heatCap)
-	r.classes = [numMissClasses]uint64{}
-	r.accesses, r.hits, r.misses = 0, 0, 0
-	r.evictions, r.bypasses, r.agreeOPT = 0, 0, 0
-	r.charged, r.unattributed, r.windfall = 0, 0, 0
-	r.ringHead, r.ringTotal = 0, 0
-	r.heatHead, r.heatTotal = 0, 0
+	r.decisions.Reset()
+	r.heat.Reset()
 }
 
 // bound reports whether Bind has run (all probe entry points no-op before).
 func (r *Recorder) bound() bool { return r.nextUse != nil }
 
-// processDemand scores one demand access against both shadow models,
-// classifies it on a miss, and charges regret to the responsible pending
-// decision. Caller holds r.mu.
-func (r *Recorder) processDemand(req *btb.Request, hit bool) {
+// demand scores one demand access: hit is the real BTB's outcome, optHit
+// the same-geometry shadow's. It classifies a miss and charges regret to
+// the responsible pending decision. Caller holds r.mu.
+func (r *Recorder) demand(req *btb.Request, hit, optHit bool) {
 	faHit := r.fa.Access(req.PC, req.NextUse)
-	out, _ := r.opt.Access(req.PC, req.NextUse)
-	optHit := out == belady.ShadowHit
 	_, seenBefore := r.seen[req.PC]
 	if !seenBefore {
 		r.seen[req.PC] = struct{}{}
 	}
 
-	r.accesses++
+	r.c.accesses++
+	if !optHit {
+		r.c.optMisses++
+	}
 	if hit {
-		r.hits++
+		r.c.hits++
 		if !optHit {
 			// The policy kept something Belady sacrificed: a windfall hit.
-			r.windfall++
+			r.c.windfall++
 		}
 		return
 	}
-	r.misses++
+	r.c.misses++
 	switch {
 	case !seenBefore:
-		r.classes[MissCompulsory]++
+		r.c.classes[MissCompulsory]++
 	case faHit:
-		r.classes[MissConflict]++
+		r.c.classes[MissConflict]++
 	default:
-		r.classes[MissCapacity]++
+		r.c.classes[MissCapacity]++
 	}
 	if optHit {
 		// Belady kept this branch; the policy's earlier decision to evict
 		// or bypass it costs this miss.
-		r.charged++
+		r.c.charged++
 		if d := r.pending[req.PC]; d != nil {
 			d.Regret++
 			r.perSet[d.Set].Charged++
 			r.branch(d.VictimPC).Charged++
 		} else {
-			r.unattributed++
+			r.c.unattributed++
 		}
 	}
 }
@@ -284,114 +278,72 @@ func (r *Recorder) optChoice(set int, req *btb.Request) int {
 	return choice
 }
 
-func (r *Recorder) pushRing(d *Decision) {
-	if len(r.ring) < r.ringCap {
-		r.ring = append(r.ring, d)
-	} else {
-		r.ring[r.ringHead] = d
-		r.ringHead++
-		if r.ringHead == r.ringCap {
-			r.ringHead = 0
-		}
-	}
-	r.ringTotal++
-}
-
-// OnHit records a demand hit in set/way.
-func (r *Recorder) OnHit(set, way int, req *btb.Request) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.bound() {
-		return
-	}
-	r.processDemand(req, true)
-	r.nextUse[set*r.ways+way] = req.NextUse
-}
-
-// OnInsert records a demand miss that filled set/way (after any eviction,
-// which arrives first via OnEvict).
-func (r *Recorder) OnInsert(set, way int, req *btb.Request) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.bound() {
-		return
-	}
-	r.processDemand(req, false)
-	// The branch is resident again: its pending decision (if any) has been
-	// charged for the last time.
-	delete(r.pending, req.PC)
-	r.nextUse[set*r.ways+way] = req.NextUse
-}
-
-// OnEvict records one eviction decision: the policy displaced victim from
-// set/way to admit req. It must be called before the matching OnInsert /
-// OnPrefetchFill, while the mirrored next-use table still describes the
-// victim (btb.ProbeFunc delivers events in that order).
-func (r *Recorder) OnEvict(cycle uint64, set, way int, req *btb.Request, victim *btb.Entry) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.bound() {
-		return
-	}
+// decide records one replacement decision: the policy displaced victimPC
+// from set/way to admit req, or (way -1) bypassed req itself. Caller holds
+// r.mu.
+func (r *Recorder) decide(cycle uint64, set, way int, req *btb.Request, victimPC uint64, victimTemp uint8) {
 	optWay := r.optChoice(set, req)
 	d := &Decision{
 		Cycle: cycle, Index: req.Index, Set: set, Way: way,
-		VictimPC: victim.PC, IncomingPC: req.PC,
-		VictimTemp: victim.Temperature, IncomingTemp: req.Temperature,
+		VictimPC: victimPC, IncomingPC: req.PC,
+		VictimTemp: victimTemp, IncomingTemp: req.Temperature,
 		OPTWay: optWay, Agree: optWay == way,
 	}
-	r.evictions++
-	if d.Agree {
-		r.agreeOPT++
+	b := r.branch(victimPC)
+	if way < 0 {
+		r.c.bypasses++
+		r.perSet[set].Bypasses++
+		b.Bypasses++
+	} else {
+		r.c.evictions++
+		r.perSet[set].Evictions++
+		b.Evictions++
 	}
-	r.perSet[set].Evictions++
-	r.branch(victim.PC).Evictions++
-	r.pending[victim.PC] = d
-	r.pushRing(d)
+	if d.Agree {
+		r.c.agreeOPT++
+	}
+	r.pending[victimPC] = d
+	r.decisions.Push(d)
 }
 
-// OnBypass records a demand miss the policy declined to insert — a decision
-// whose "victim" is the incoming branch itself.
-func (r *Recorder) OnBypass(cycle uint64, set int, req *btb.Request) {
+// OnProbe records one BTB probe event at the given cycle. For demand
+// events (hit, insert, bypass) optHit is the shared same-geometry Belady
+// shadow's verdict on the same access. Prefetch fills are not demand
+// accesses, but their evictions are still replacement decisions and are
+// recorded as such. A ProbeEvict must arrive before its matching insert or
+// fill, while the next-use mirror still describes the victim
+// (btb.ProbeFunc delivers events in that order).
+func (r *Recorder) OnProbe(kind btb.ProbeKind, cycle uint64, set, way int, req *btb.Request, victim *btb.Entry, optHit bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.bound() {
 		return
 	}
-	r.processDemand(req, false)
-	optWay := r.optChoice(set, req)
-	d := &Decision{
-		Cycle: cycle, Index: req.Index, Set: set, Way: -1,
-		VictimPC: req.PC, IncomingPC: req.PC,
-		VictimTemp: req.Temperature, IncomingTemp: req.Temperature,
-		OPTWay: optWay, Agree: optWay == -1,
-	}
-	r.bypasses++
-	if d.Agree {
-		r.agreeOPT++
-	}
-	r.perSet[set].Bypasses++
-	r.branch(req.PC).Bypasses++
-	r.pending[req.PC] = d
-	r.pushRing(d)
-}
-
-// OnPrefetchFill records a prefetcher-initiated fill of set/way: not a
-// demand access (the shadow models see only the demand stream), but the
-// branch is resident again and its mirrored next-use becomes known.
-func (r *Recorder) OnPrefetchFill(set, way int, req *btb.Request) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.bound() {
+	switch kind {
+	case btb.ProbeHit:
+		r.demand(req, true, optHit)
+	case btb.ProbeInsert:
+		r.demand(req, false, optHit)
+		// The branch is resident again: its pending decision (if any) has
+		// been charged for the last time.
+		delete(r.pending, req.PC)
+	case btb.ProbePrefetchFill:
+		delete(r.pending, req.PC)
+	case btb.ProbeEvict:
+		r.decide(cycle, set, way, req, victim.PC, victim.Temperature)
+		return
+	case btb.ProbeBypass:
+		r.demand(req, false, optHit)
+		r.decide(cycle, set, -1, req, req.PC, req.Temperature)
 		return
 	}
-	delete(r.pending, req.PC)
 	r.nextUse[set*r.ways+way] = req.NextUse
 }
 
-// SampleHeat appends one heatmap row from the live BTB. Call it on the
-// telemetry epoch grid; the walk is O(capacity).
-func (r *Recorder) SampleHeat(instr uint64, b *btb.BTB) {
+// OnEpoch appends one heatmap row from the live BTB b at an epoch boundary,
+// instr retired instructions into the measured region; the walk is
+// O(capacity).
+func (r *Recorder) OnEpoch(instr uint64, b *btb.BTB) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.bound() {
@@ -407,38 +359,33 @@ func (r *Recorder) SampleHeat(instr uint64, b *btb.BTB) {
 		row.Valid[s] = uint16(valid)
 		row.TempSum[s] = uint16(temp)
 	}
-	if len(r.heat) < r.heatCap {
-		r.heat = append(r.heat, row)
-	} else {
-		r.heat[r.heatHead] = row
-		r.heatHead++
-		if r.heatHead == r.heatCap {
-			r.heatHead = 0
-		}
-	}
-	r.heatTotal++
+	r.heat.Push(row)
 }
 
 // OnWarmupReset restarts the measurement counters in lockstep with the
-// simulator's end-of-warmup statistics reset. Learned state — the shadow
-// model contents, the first-touch set, the mirrored next-use table, and
+// simulator's end-of-warmup statistics reset. Learned state — the FA
+// shadow contents, the first-touch set, the mirrored next-use table, and
 // pending decisions — stays trained, exactly like the BTB itself.
 func (r *Recorder) OnWarmupReset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.bound() {
+	if r.bound() {
+		r.reset()
+	}
+}
+
+// OnFinish publishes the headline counters as attrib_* metrics on m (nil:
+// no registry) at the end of a run.
+func (r *Recorder) OnFinish(_ uint64, m *telemetry.Registry) {
+	if m == nil {
 		return
 	}
-	r.fa.ResetStats()
-	r.opt.ResetStats()
-	r.classes = [numMissClasses]uint64{}
-	r.accesses, r.hits, r.misses = 0, 0, 0
-	r.evictions, r.bypasses, r.agreeOPT = 0, 0, 0
-	r.charged, r.unattributed, r.windfall = 0, 0, 0
-	r.perSet = make([]SetRegret, r.sets)
-	r.perBranch = make(map[uint64]*BranchRegret, 1<<10)
-	r.ring = r.ring[:0]
-	r.ringHead, r.ringTotal = 0, 0
-	r.heat = r.heat[:0]
-	r.heatHead, r.heatTotal = 0, 0
+	_, _, misses, regret := r.Counts()
+	m.SetCounter("attrib_miss_compulsory", misses.Compulsory)
+	m.SetCounter("attrib_miss_capacity", misses.Capacity)
+	m.SetCounter("attrib_miss_conflict", misses.Conflict)
+	m.SetCounter("attrib_decisions", regret.Decisions)
+	m.SetCounter("attrib_agree_opt", regret.AgreeOPT)
+	m.SetCounter("attrib_charged", regret.Charged)
+	m.SetCounter("attrib_windfall", regret.Windfall)
 }

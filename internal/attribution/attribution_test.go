@@ -7,17 +7,40 @@ import (
 	"strings"
 	"testing"
 
+	"thermometer/internal/belady"
 	"thermometer/internal/btb"
 	"thermometer/internal/policy"
 	"thermometer/internal/trace"
 )
 
+// feed mimics core's probe fan-out for one bound recorder: a same-geometry
+// Belady shadow steps once per demand event and the recorder reads its
+// verdict.
+type feed struct {
+	r   *Recorder
+	opt *belady.Shadow
+}
+
+func bind(r *Recorder, policy string, sets, ways int) *feed {
+	r.Bind(policy, sets, ways)
+	return &feed{r: r, opt: belady.NewShadow(sets, ways)}
+}
+
+func (f *feed) probe(kind btb.ProbeKind, cycle uint64, set, way int, req *btb.Request, victim *btb.Entry) {
+	optHit := false
+	if kind.Demand() {
+		out, _ := f.opt.Access(req.PC, req.NextUse)
+		optHit = out == belady.ShadowHit
+	}
+	f.r.OnProbe(kind, cycle, set, way, req, victim, optHit)
+}
+
 // driveHandChecked replays a hand-checked 7-access stream against a 1x2
 // recorder, mimicking the probe sequence an LRU BTB would emit. Every
 // expectation below was computed by hand.
-func driveHandChecked(t *testing.T, r *Recorder) {
+func driveHandChecked(t *testing.T, r *Recorder) *feed {
 	t.Helper()
-	r.Bind("lru", 1, 2)
+	f := bind(r, "lru", 1, 2)
 	req := func(pc uint64, idx, next int) *btb.Request {
 		return &btb.Request{PC: pc, Target: pc + 4, NextUse: next, Index: idx}
 	}
@@ -25,18 +48,19 @@ func driveHandChecked(t *testing.T, r *Recorder) {
 		return &btb.Entry{Valid: true, PC: pc, Target: pc + 4, Temperature: temp}
 	}
 	const nn = trace.NoNextUse
-	r.OnInsert(0, 0, req(0xa, 0, 2)) // A: compulsory miss, fills way 0
-	r.OnInsert(0, 1, req(0xb, 1, 3)) // B: compulsory miss, fills way 1
-	r.OnHit(0, 0, req(0xa, 2, 4))
-	r.OnHit(0, 1, req(0xb, 3, nn))
+	f.probe(btb.ProbeInsert, 0, 0, 0, req(0xa, 0, 2), nil) // A: compulsory miss, fills way 0
+	f.probe(btb.ProbeInsert, 0, 0, 1, req(0xb, 1, 3), nil) // B: compulsory miss, fills way 1
+	f.probe(btb.ProbeHit, 0, 0, 0, req(0xa, 2, 4), nil)
+	f.probe(btb.ProbeHit, 0, 0, 1, req(0xb, 3, nn), nil)
 	// C misses; LRU evicts A (way 0). Belady would evict B (never reused).
-	r.OnEvict(40, 0, 0, req(0xc, 4, 6), victim(0xa, 2))
-	r.OnInsert(0, 0, req(0xc, 4, 6))
+	f.probe(btb.ProbeEvict, 40, 0, 0, req(0xc, 4, 6), victim(0xa, 2))
+	f.probe(btb.ProbeInsert, 40, 0, 0, req(0xc, 4, 6), nil)
 	// A misses again — the shadow kept it, so the cycle-40 decision is
 	// charged. LRU then evicts B; Belady would bypass A (never reused).
-	r.OnEvict(50, 0, 1, req(0xa, 5, nn), victim(0xb, 0))
-	r.OnInsert(0, 1, req(0xa, 5, nn))
-	r.OnHit(0, 0, req(0xc, 6, nn))
+	f.probe(btb.ProbeEvict, 50, 0, 1, req(0xa, 5, nn), victim(0xb, 0))
+	f.probe(btb.ProbeInsert, 50, 0, 1, req(0xa, 5, nn), nil)
+	f.probe(btb.ProbeHit, 60, 0, 0, req(0xc, 6, nn), nil)
+	return f
 }
 
 func TestClassifierAndRegretHandChecked(t *testing.T) {
@@ -91,13 +115,13 @@ func TestClassifierAndRegretHandChecked(t *testing.T) {
 
 func TestBypassDecisionAndUnattributed(t *testing.T) {
 	r := New(Options{})
-	r.Bind("thermometer", 1, 1)
+	f := bind(r, "thermometer", 1, 1)
 	const nn = trace.NoNextUse
 	// A fills the single entry; B is denied (bypass). B's re-access misses
 	// and — since the shadow inserted B over A — is charged to the bypass.
-	r.OnInsert(0, 0, &btb.Request{PC: 0xa, NextUse: nn, Index: 0})
-	r.OnBypass(10, 0, &btb.Request{PC: 0xb, NextUse: 2, Index: 1, Temperature: 3})
-	r.OnBypass(20, 0, &btb.Request{PC: 0xb, NextUse: nn, Index: 2})
+	f.probe(btb.ProbeInsert, 0, 0, 0, &btb.Request{PC: 0xa, NextUse: nn, Index: 0}, nil)
+	f.probe(btb.ProbeBypass, 10, 0, -1, &btb.Request{PC: 0xb, NextUse: 2, Index: 1, Temperature: 3}, nil)
+	f.probe(btb.ProbeBypass, 20, 0, -1, &btb.Request{PC: 0xb, NextUse: nn, Index: 2}, nil)
 
 	_, _, misses, regret := r.Counts()
 	if misses.Total != 3 || misses.Compulsory != 2 || misses.Conflict != 1 {
@@ -122,10 +146,10 @@ func TestBypassDecisionAndUnattributed(t *testing.T) {
 
 func TestDecisionRingBounded(t *testing.T) {
 	r := New(Options{RingCap: 4})
-	r.Bind("lru", 4, 1)
+	f := bind(r, "lru", 4, 1)
 	for i := 0; i < 10; i++ {
 		pc := uint64(4*i) + 1 // all map to distinct sets mod 4... keep simple: set 1
-		r.OnEvict(uint64(i), 1, 0, &btb.Request{PC: pc, NextUse: trace.NoNextUse, Index: i},
+		f.probe(btb.ProbeEvict, uint64(i), 1, 0, &btb.Request{PC: pc, NextUse: trace.NoNextUse, Index: i},
 			&btb.Entry{Valid: true, PC: pc + 100})
 	}
 	rep := r.Report(1)
@@ -147,7 +171,7 @@ func TestHeatmapSamplingBounded(t *testing.T) {
 	b.Access(&btb.Request{PC: 3, Target: 7, NextUse: trace.NoNextUse, Temperature: 2})
 	b.Access(&btb.Request{PC: 11, Target: 15, NextUse: trace.NoNextUse, Temperature: 1})
 	for i := 0; i < 5; i++ {
-		r.SampleHeat(uint64(1000*(i+1)), b)
+		r.OnEpoch(uint64(1000*(i+1)), b)
 	}
 	rep := r.Report(1)
 	if len(rep.Heat) != 3 || rep.HeatDropped != 2 {
@@ -170,7 +194,7 @@ func TestHeatmapSamplingBounded(t *testing.T) {
 
 func TestWarmupResetKeepsTrainedState(t *testing.T) {
 	r := New(Options{})
-	driveHandChecked(t, r)
+	f := driveHandChecked(t, r)
 	r.OnWarmupReset()
 	accesses, _, misses, regret := r.Counts()
 	if accesses != 0 || misses.Total != 0 || regret.Decisions != 0 || regret.Charged != 0 {
@@ -182,7 +206,7 @@ func TestWarmupResetKeepsTrainedState(t *testing.T) {
 	}
 	// The first-touch set must persist: a post-reset re-access of a warmed
 	// branch is not compulsory.
-	r.OnBypass(100, 0, &btb.Request{PC: 0xa, NextUse: trace.NoNextUse, Index: 7})
+	f.probe(btb.ProbeBypass, 100, 0, -1, &btb.Request{PC: 0xa, NextUse: trace.NoNextUse, Index: 7}, nil)
 	_, _, misses, _ = r.Counts()
 	if misses.Total != 1 || misses.Compulsory != 0 {
 		t.Fatalf("post-reset miss classes %+v: warmed branch misclassified as compulsory", misses)
@@ -192,13 +216,12 @@ func TestWarmupResetKeepsTrainedState(t *testing.T) {
 func TestUnboundRecorderIsInert(t *testing.T) {
 	r := New(Options{})
 	// No Bind: every entry point must be a safe no-op.
-	r.OnHit(0, 0, &btb.Request{PC: 1})
-	r.OnInsert(0, 0, &btb.Request{PC: 1})
-	r.OnEvict(1, 0, 0, &btb.Request{PC: 1}, &btb.Entry{})
-	r.OnBypass(1, 0, &btb.Request{PC: 1})
-	r.OnPrefetchFill(0, 0, &btb.Request{PC: 1})
+	for kind := btb.ProbeHit; kind <= btb.ProbePrefetchFill; kind++ {
+		r.OnProbe(kind, 1, 0, 0, &btb.Request{PC: 1}, &btb.Entry{}, true)
+	}
 	r.OnWarmupReset()
-	r.SampleHeat(1, btb.NewWithSets(1, 1, policy.NewLRU()))
+	r.OnEpoch(1, btb.NewWithSets(1, 1, policy.NewLRU()))
+	r.OnFinish(1, nil)
 	if rep := r.Report(1); rep.Accesses != 0 {
 		t.Fatalf("unbound recorder counted: %+v", rep)
 	}
@@ -221,7 +244,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	driveHandChecked(t, r)
 	b := btb.NewWithSets(1, 2, policy.NewLRU())
 	b.Access(&btb.Request{PC: 5, Target: 9, NextUse: trace.NoNextUse})
-	r.SampleHeat(100, b)
+	r.OnEpoch(100, b)
 
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
@@ -270,7 +293,7 @@ func TestWriteTextAndHeatCSV(t *testing.T) {
 	r := New(Options{})
 	driveHandChecked(t, r)
 	b := btb.NewWithSets(1, 2, policy.NewLRU())
-	r.SampleHeat(42, b)
+	r.OnEpoch(42, b)
 
 	var sb strings.Builder
 	if err := r.WriteText(&sb, 5); err != nil {

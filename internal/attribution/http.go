@@ -1,124 +1,50 @@
 package attribution
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
+
+	"thermometer/internal/telemetry"
 )
 
 // Handler returns the live debug surface for the recorder:
 //
-//	/debug/attrib             full Report as JSON
+//	/debug/attrib             full Report as JSON (?top=N bounds the
+//	                          branch table)
 //	/debug/attrib/heatmap     HTML page with inline-SVG occupancy and
 //	                          temperature heatmaps
 //	/debug/attrib/heatmap.csv the retained heatmap rows as CSV
 //
-// JSON responses accept ?top=N to bound the branch table. The handler is
-// mounted by telemetry.Serve via core's Config wiring (btbsim -attrib -http).
+// btbsim -attrib -http mounts it on the telemetry server.
 func (r *Recorder) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/attrib", r.serveJSON)
-	mux.HandleFunc("/debug/attrib/heatmap", r.serveHeatmapHTML)
-	mux.HandleFunc("/debug/attrib/heatmap.csv", r.serveHeatmapCSV)
-	return mux
+	p := &telemetry.ReportPages{
+		Prefix: "/debug/attrib", CSVName: "heatmap.csv", Title: "BTB attribution heatmap",
+		JSON: func(top int) any { return r.Report(top) },
+		CSV:  r.WriteHeatCSV,
+		Page: r.heatmapPage,
+	}
+	return p.Handler()
 }
 
-func (r *Recorder) serveJSON(w http.ResponseWriter, req *http.Request) {
-	topN := 20
-	if v := req.URL.Query().Get("top"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			http.Error(w, "top must be a positive integer", http.StatusBadRequest)
-			return
-		}
-		topN = n
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(r.Report(topN))
-}
-
-func (r *Recorder) serveHeatmapCSV(w http.ResponseWriter, req *http.Request) {
-	w.Header().Set("Content-Type", "text/csv")
-	_ = r.WriteHeatCSV(w)
-}
-
-// heatSVG renders one heatmap (epochs on x, sets on y) as inline SVG. The
-// value of cell (epoch e, set s) is pick(row_e, s), shaded linearly against
-// max. Sets are downsampled to at most maxBands horizontal bands so the
-// image stays small for large geometries.
-func heatSVG(sb *strings.Builder, heat []HeatRow, sets int, pick func(*HeatRow, int) int) {
-	const (
-		maxBands = 128
-		cellW    = 6
-		cellH    = 4
-	)
-	bands := sets
-	per := 1
-	if bands > maxBands {
-		per = (sets + maxBands - 1) / maxBands
-		bands = (sets + per - 1) / per
-	}
-	// Aggregate each band as the mean over its sets, tracking the max for
-	// normalisation.
-	vals := make([][]int, len(heat))
-	maxV := 1
-	for e := range heat {
-		vals[e] = make([]int, bands)
-		for b := 0; b < bands; b++ {
-			sum, n := 0, 0
-			for s := b * per; s < (b+1)*per && s < sets; s++ {
-				sum += pick(&heat[e], s)
-				n++
-			}
-			if n > 0 {
-				vals[e][b] = sum / n
-			}
-			if vals[e][b] > maxV {
-				maxV = vals[e][b]
-			}
-		}
-	}
-	fmt.Fprintf(sb, `<svg width="%d" height="%d" xmlns="http://www.w3.org/2000/svg">`,
-		len(heat)*cellW, bands*cellH)
-	for e := range vals {
-		for b := range vals[e] {
-			// Dark blue (cold/empty) to bright orange (hot/full).
-			t := float64(vals[e][b]) / float64(maxV)
-			red := int(20 + 235*t)
-			green := int(30 + 130*t)
-			blue := int(90 - 60*t)
-			fmt.Fprintf(sb, `<rect x="%d" y="%d" width="%d" height="%d" fill="rgb(%d,%d,%d)"/>`,
-				e*cellW, b*cellH, cellW, cellH, red, green, blue)
-		}
-	}
-	sb.WriteString(`</svg>`)
-}
-
-func (r *Recorder) serveHeatmapHTML(w http.ResponseWriter, req *http.Request) {
+// heatmapPage writes the occupancy and temperature heatmaps (x: epochs,
+// y: sets).
+func (r *Recorder) heatmapPage(sb *strings.Builder) {
 	rep := r.Report(1)
-	var sb strings.Builder
-	sb.WriteString(`<!DOCTYPE html><html><head><title>BTB attribution heatmap</title>` +
-		`<style>body{font-family:monospace;background:#111;color:#ddd;padding:1em}` +
-		`h2{margin-bottom:0.2em}</style></head><body>`)
-	fmt.Fprintf(&sb, `<h1>BTB heatmap — policy=%s, %d sets &times; %d ways</h1>`,
+	fmt.Fprintf(sb, `<h1>BTB heatmap — policy=%s, %d sets &times; %d ways</h1>`,
 		rep.Policy, rep.Sets, rep.Ways)
-	fmt.Fprintf(&sb, `<p>%d epoch rows retained (%d dropped); x: epochs, y: sets. `+
-		`<a href="/debug/attrib">JSON report</a> &middot; `+
-		`<a href="/debug/attrib/heatmap.csv">CSV</a></p>`,
+	fmt.Fprintf(sb, `<p>%d epoch rows retained (%d dropped); x: epochs, y: sets.</p>`,
 		len(rep.Heat), rep.HeatDropped)
 	if len(rep.Heat) == 0 {
 		sb.WriteString(`<p>no samples yet</p>`)
-	} else {
-		sb.WriteString(`<h2>occupancy (valid entries per set)</h2>`)
-		heatSVG(&sb, rep.Heat, rep.Sets, func(h *HeatRow, s int) int { return int(h.Valid[s]) })
-		sb.WriteString(`<h2>temperature (stored hint sum per set)</h2>`)
-		heatSVG(&sb, rep.Heat, rep.Sets, func(h *HeatRow, s int) int { return int(h.TempSum[s]) })
+		return
 	}
-	sb.WriteString(`</body></html>`)
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	_, _ = w.Write([]byte(sb.String()))
+	sb.WriteString(`<h2>occupancy (valid entries per set)</h2>`)
+	telemetry.HeatmapSVG(sb, len(rep.Heat), rep.Sets, func(e, s int) (float64, float64) {
+		return float64(rep.Heat[e].Valid[s]), 1
+	})
+	sb.WriteString(`<h2>temperature (stored hint sum per set)</h2>`)
+	telemetry.HeatmapSVG(sb, len(rep.Heat), rep.Sets, func(e, s int) (float64, float64) {
+		return float64(rep.Heat[e].TempSum[s]), 1
+	})
 }

@@ -1,11 +1,12 @@
 package attribution
 
 import (
+	"bytes"
 	"fmt"
 	"io"
-	"sort"
 
 	"thermometer/internal/detmap"
+	"thermometer/internal/telemetry"
 )
 
 // MissClasses is the report form of the classifier counters. Compulsory,
@@ -66,47 +67,37 @@ type Report struct {
 	HeatDropped uint64    `json:"heat_dropped"`
 }
 
-// ringSlice returns the retained ring contents oldest-first. Caller holds
-// r.mu.
-func ringSlice[T any](ring []T, head int) []T {
-	out := make([]T, 0, len(ring))
-	out = append(out, ring[head:]...)
-	out = append(out, ring[:head]...)
-	return out
-}
-
 // Counts returns the headline counters (accesses, hits, classified misses,
 // regret) without materialising rings or tables.
 func (r *Recorder) Counts() (accesses, hits uint64, misses MissClasses, regret RegretSummary) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.accesses, r.hits, r.missClasses(), r.regretSummary()
+	return r.c.accesses, r.c.hits, r.missClasses(), r.regretSummary()
 }
 
 // missClasses builds the report form. Caller holds r.mu.
 func (r *Recorder) missClasses() MissClasses {
 	return MissClasses{
-		Total:      r.misses,
-		Compulsory: r.classes[MissCompulsory],
-		Capacity:   r.classes[MissCapacity],
-		Conflict:   r.classes[MissConflict],
+		Total:      r.c.misses,
+		Compulsory: r.c.classes[MissCompulsory],
+		Capacity:   r.c.classes[MissCapacity],
+		Conflict:   r.c.classes[MissConflict],
 	}
 }
 
 // regretSummary builds the report form. Caller holds r.mu.
 func (r *Recorder) regretSummary() RegretSummary {
+	c := &r.c
 	s := RegretSummary{
-		Decisions:    r.evictions + r.bypasses,
-		Evictions:    r.evictions,
-		Bypasses:     r.bypasses,
-		AgreeOPT:     r.agreeOPT,
-		Charged:      r.charged,
-		Unattributed: r.unattributed,
-		Windfall:     r.windfall,
-		Net:          int64(r.charged) - int64(r.windfall),
-	}
-	if r.opt != nil {
-		s.ShadowOPTMisses = r.opt.Stats().Misses
+		Decisions:       c.evictions + c.bypasses,
+		Evictions:       c.evictions,
+		Bypasses:        c.bypasses,
+		AgreeOPT:        c.agreeOPT,
+		Charged:         c.charged,
+		Unattributed:    c.unattributed,
+		Windfall:        c.windfall,
+		Net:             int64(c.charged) - int64(c.windfall),
+		ShadowOPTMisses: c.optMisses,
 	}
 	if s.Decisions > 0 {
 		s.AgreeRate = float64(s.AgreeOPT) / float64(s.Decisions)
@@ -116,57 +107,33 @@ func (r *Recorder) regretSummary() RegretSummary {
 
 // Report snapshots the recorder. topN bounds TopBranches (<= 0 means 20).
 func (r *Recorder) Report(topN int) *Report {
-	if topN <= 0 {
-		topN = 20
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rep := &Report{
-		Policy:   r.policy,
-		Sets:     r.sets,
-		Ways:     r.ways,
-		Accesses: r.accesses,
-		Hits:     r.hits,
-		Misses:   r.missClasses(),
-		Regret:   r.regretSummary(),
-		// Non-nil so the JSON body always carries arrays, even when a
-		// client snapshots the recorder before Bind.
-		TopBranches:     []BranchRegret{},
-		PerSet:          []SetRegret{},
-		RecentDecisions: []Decision{},
-		Heat:            []HeatRow{},
-	}
-	if !r.bound() {
-		return rep
-	}
-
+	// Every table is built non-nil, so the JSON body carries arrays even
+	// when a client snapshots the recorder before Bind.
 	branches := make([]BranchRegret, 0, len(r.perBranch))
 	for _, pc := range detmap.SortedKeys(r.perBranch) {
 		branches = append(branches, *r.perBranch[pc])
 	}
-	sort.SliceStable(branches, func(i, j int) bool {
-		if branches[i].Charged != branches[j].Charged {
-			return branches[i].Charged > branches[j].Charged
-		}
-		return branches[i].PC < branches[j].PC
-	})
-	if len(branches) > topN {
-		branches = branches[:topN]
+	decisions := make([]Decision, r.decisions.Len())
+	for i, d := range r.decisions.Slice() {
+		decisions[i] = *d
 	}
-	rep.TopBranches = branches
-
-	rep.PerSet = append([]SetRegret(nil), r.perSet...)
-
-	ring := ringSlice(r.ring, r.ringHead)
-	rep.RecentDecisions = make([]Decision, len(ring))
-	for i, d := range ring {
-		rep.RecentDecisions[i] = *d
+	return &Report{
+		Policy:           r.policy,
+		Sets:             r.sets,
+		Ways:             r.ways,
+		Accesses:         r.c.accesses,
+		Hits:             r.c.hits,
+		Misses:           r.missClasses(),
+		Regret:           r.regretSummary(),
+		TopBranches:      telemetry.TopN(branches, topN, func(b *BranchRegret) uint64 { return b.Charged }),
+		PerSet:           append([]SetRegret{}, r.perSet...),
+		RecentDecisions:  decisions,
+		DecisionsDropped: r.decisions.Dropped(),
+		Heat:             r.heat.Slice(),
+		HeatDropped:      r.heat.Dropped(),
 	}
-	rep.DecisionsDropped = r.ringTotal - uint64(len(ring))
-
-	rep.Heat = ringSlice(r.heat, r.heatHead)
-	rep.HeatDropped = r.heatTotal - uint64(len(rep.Heat))
-	return rep
 }
 
 // WriteText renders a human-readable attribution report (the btbsim -attrib
@@ -180,12 +147,8 @@ func (r *Recorder) WriteText(w io.Writer, topN int) error {
 		}
 		return 100 * float64(n) / float64(d)
 	}
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
+	var b bytes.Buffer
+	p := func(format string, args ...any) { fmt.Fprintf(&b, format, args...) }
 	p("attribution report (policy=%s, %d sets x %d ways)\n", rep.Policy, rep.Sets, rep.Ways)
 	p("  demand accesses   %12d\n", rep.Accesses)
 	p("  hits              %12d (%.2f%%)\n", rep.Hits, pct(rep.Hits, rep.Accesses))
@@ -210,6 +173,7 @@ func (r *Recorder) WriteText(w io.Writer, topN int) error {
 	}
 	p("  decision ring: %d retained, %d dropped; heatmap: %d rows retained, %d dropped\n",
 		len(rep.RecentDecisions), rep.DecisionsDropped, len(rep.Heat), rep.HeatDropped)
+	_, err := w.Write(b.Bytes())
 	return err
 }
 
@@ -218,12 +182,8 @@ func (r *Recorder) WriteText(w io.Writer, topN int) error {
 // sums.
 func (r *Recorder) WriteHeatCSV(w io.Writer) error {
 	rep := r.Report(1)
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
+	var b bytes.Buffer
+	p := func(format string, args ...any) { fmt.Fprintf(&b, format, args...) }
 	p("end_instr")
 	for s := 0; s < rep.Sets; s++ {
 		p(",valid_%d", s)
@@ -243,5 +203,6 @@ func (r *Recorder) WriteHeatCSV(w io.Writer) error {
 		}
 		p("\n")
 	}
+	_, err := w.Write(b.Bytes())
 	return err
 }

@@ -141,6 +141,12 @@ const (
 	ProbePrefetchFill
 )
 
+// Demand reports whether k is a demand access (hit, insert or bypass): the
+// stream a Belady shadow scores. Evictions and prefetch fills are not.
+func (k ProbeKind) Demand() bool {
+	return k == ProbeHit || k == ProbeInsert || k == ProbeBypass
+}
+
 // ProbeFunc observes structural BTB events for telemetry. set is the index
 // of the set the event happened in; way is the way hit, filled, or (for
 // ProbeEvict) vacated, and -1 for ProbeBypass. victim is non-nil only for

@@ -3,7 +3,8 @@
 // (base, hints, zero-warmup, two-level, partitioned, prefetching, observed)
 // and the complete Result — cycle counts, stall attribution, BTB stats,
 // policy telemetry, and the observer's JSON/CSV artifacts — is fingerprinted
-// against a checked-in golden file.
+// against a checked-in golden file. The audited variants also hash the
+// attribution and hint-quality reports and CSVs.
 //
 // The goldens were generated from the pre-SoA simulator; they pin the
 // restructured core (SoA BTB, devirtualized dispatch, specialized record
@@ -24,8 +25,10 @@ import (
 	"sort"
 	"testing"
 
+	"thermometer/internal/attribution"
 	"thermometer/internal/btb"
 	"thermometer/internal/core"
+	"thermometer/internal/hintqual"
 	"thermometer/internal/policy"
 	"thermometer/internal/prefetch"
 	"thermometer/internal/profile"
@@ -61,6 +64,10 @@ type coreFingerprint struct {
 	// TelemetrySHA256 hashes the observer's JSON report + epoch CSV for the
 	// observed variant (empty otherwise).
 	TelemetrySHA256 string `json:"telemetry_sha256,omitempty"`
+	// AuditSHA256 hashes the attached recorders' outputs for the audited
+	// variants: attribution Report(20) JSON + heatmap CSV, then hint-quality
+	// Report(20) JSON + drift-window CSV (empty otherwise).
+	AuditSHA256 string `json:"audit_sha256,omitempty"`
 }
 
 var goldenCorePolicies = []struct {
@@ -79,7 +86,7 @@ var goldenCorePolicies = []struct {
 	{"transient", func() btb.Policy { return policy.NewTransientOnly() }},
 }
 
-func fingerprintResult(r *core.Result, telemetrySHA string) coreFingerprint {
+func fingerprintResult(r *core.Result, telemetrySHA, auditSHA string) coreFingerprint {
 	fp := coreFingerprint{
 		Instructions:     r.Instructions,
 		Cycles:           r.Cycles,
@@ -99,6 +106,7 @@ func fingerprintResult(r *core.Result, telemetrySHA string) coreFingerprint {
 		InstrL2Misses:    r.InstrL2Misses,
 		InstrLLCMisses:   r.InstrLLCMisses,
 		TelemetrySHA256:  telemetrySHA,
+		AuditSHA256:      auditSHA,
 	}
 	if inst, ok := r.Policy.(policy.Instrumented); ok {
 		counters := inst.TelemetryCounters()
@@ -128,46 +136,47 @@ func TestGoldenCore(t *testing.T) {
 	}
 
 	type variant struct {
-		name string
-		cfg  func() core.Config
-		obs  bool
+		name    string
+		cfg     func() core.Config
+		obs     bool
+		att, hq bool
+	}
+	hinted := func() core.Config {
+		cfg := core.DefaultConfig()
+		cfg.Hints = hints
+		return cfg
 	}
 	variants := []variant{
-		{"base", func() core.Config { return core.DefaultConfig() }, false},
-		{"hints", func() core.Config {
-			cfg := core.DefaultConfig()
-			cfg.Hints = hints
-			return cfg
-		}, false},
+		{"base", func() core.Config { return core.DefaultConfig() }, false, false, false},
+		{"hints", hinted, false, false, false},
 		{"warmup0", func() core.Config {
 			cfg := core.DefaultConfig()
 			cfg.Hints = hints
 			cfg.WarmupFrac = 0
 			return cfg
-		}, false},
+		}, false, false, false},
 		{"twolevel", func() core.Config {
 			cfg := core.DefaultConfig()
 			cfg.Hints = hints
 			cfg.TwoLevelBTB = core.DefaultTwoLevelBTB()
 			return cfg
-		}, false},
+		}, false, false, false},
 		{"shotgun", func() core.Config {
 			cfg := core.DefaultConfig()
 			cfg.Hints = hints
 			cfg.ShotgunPartition = true
 			return cfg
-		}, false},
+		}, false, false, false},
 		{"prefetch", func() core.Config {
 			cfg := core.DefaultConfig()
 			cfg.Hints = hints
 			cfg.Prefetcher = prefetch.NewConfluence(core.BuildMeta(tr.AccessStream()))
 			return cfg
-		}, false},
-		{"observed", func() core.Config {
-			cfg := core.DefaultConfig()
-			cfg.Hints = hints
-			return cfg
-		}, true},
+		}, false, false, false},
+		{"observed", hinted, true, false, false},
+		{"attrib", hinted, false, true, false},
+		{"hintqual", hinted, false, false, true},
+		{"audited", hinted, true, true, true},
 	}
 
 	got := make(map[string]coreFingerprint)
@@ -181,6 +190,16 @@ func TestGoldenCore(t *testing.T) {
 			if v.obs {
 				obs = telemetry.New(telemetry.Options{EpochInterval: 5000, EventCap: 1 << 12})
 				cfg.Observer = obs
+			}
+			var att *attribution.Recorder
+			if v.att {
+				att = attribution.New(attribution.Options{})
+				cfg.Attribution = att
+			}
+			var hq *hintqual.Recorder
+			if v.hq {
+				hq = hintqual.New(hintqual.Options{})
+				cfg.HintQual = hq
 			}
 			r := core.Run(tr, cfg)
 			if v.obs {
@@ -197,7 +216,11 @@ func TestGoldenCore(t *testing.T) {
 				h.Write(c.Bytes())
 				telemetrySHA = hex.EncodeToString(h.Sum(nil))
 			}
-			got[p.name+"/"+v.name] = fingerprintResult(r, telemetrySHA)
+			auditSHA := ""
+			if v.att || v.hq {
+				auditSHA = auditHash(t, att, hq)
+			}
+			got[p.name+"/"+v.name] = fingerprintResult(r, telemetrySHA, auditSHA)
 		}
 	}
 
@@ -240,4 +263,31 @@ func TestGoldenCore(t *testing.T) {
 			t.Errorf("%s: configuration missing from golden file (run -update-golden)", k)
 		}
 	}
+}
+
+// auditHash fingerprints the attached recorders' reports and CSVs.
+func auditHash(t *testing.T, att *attribution.Recorder, hq *hintqual.Recorder) string {
+	t.Helper()
+	h := sha256.New()
+	if att != nil {
+		j, err := json.Marshal(att.Report(20))
+		if err != nil {
+			t.Fatalf("attribution report JSON: %v", err)
+		}
+		h.Write(j)
+		if err := att.WriteHeatCSV(h); err != nil {
+			t.Fatalf("heatmap CSV: %v", err)
+		}
+	}
+	if hq != nil {
+		j, err := json.Marshal(hq.Report(20))
+		if err != nil {
+			t.Fatalf("hint-quality report JSON: %v", err)
+		}
+		h.Write(j)
+		if err := hq.WriteWindowsCSV(h); err != nil {
+			t.Fatalf("drift-window CSV: %v", err)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }

@@ -1,17 +1,16 @@
 package core
 
 import (
-	"thermometer/internal/attribution"
 	"thermometer/internal/btb"
 	"thermometer/internal/detmap"
-	"thermometer/internal/hintqual"
 	"thermometer/internal/policy"
 	"thermometer/internal/telemetry"
 )
 
 // observerState is the glue between the simulator's hot loop and the
-// telemetry subsystem. It exists only when cfg.Observer is non-nil; the
-// disabled path in Run is a single nil check per block.
+// telemetry subsystem, and the first entry of the run's consumer list. It
+// exists only when cfg.Observer is non-nil; the disabled path in Run is a
+// single nil check per block.
 //
 // All metric handles are resolved by name here, once, so per-event updates
 // on the instrumented path are plain atomic adds.
@@ -35,14 +34,9 @@ type observerState struct {
 	insertCycle  map[uint64]uint64
 	lastHitCycle map[uint64]uint64
 
-	// att, when non-nil, receives every probe event for miss attribution
-	// and regret tracing (see attachAttribution).
-	att *attribution.Recorder
-
-	// hq, when non-nil, receives every demand probe event for hint-quality
-	// audit, and its drift windows close on the epoch grid (see
-	// attachHintQual).
-	hq *hintqual.Recorder
+	// fan is the run's consumer list; each epoch this sampler closes goes
+	// out over it.
+	fan *consumers
 }
 
 func newObserverState(obs *telemetry.Observer, res *Result, bank *btbBank, twoLevel *btb.TwoLevel) *observerState {
@@ -64,28 +58,12 @@ func newObserverState(obs *telemetry.Observer, res *Result, bank *btbBank, twoLe
 		o.hFTQLead = m.Histogram("ftq_lead_cycles")
 		o.hRedirectPenalty = m.Histogram("redirect_penalty_cycles")
 	}
-	probe := o.probe
-	bank.main.SetProbe(probe)
-	if bank.cond != nil {
-		bank.cond.SetProbe(probe)
-	}
-	if twoLevel != nil {
-		twoLevel.L1.SetProbe(probe)
-		twoLevel.L2.SetProbe(probe)
-	}
 	return o
 }
 
-// probe receives structural BTB events. Cycle stamps come from the live
-// Result the simulator is accumulating into.
-func (o *observerState) probe(kind btb.ProbeKind, set, way int, req *btb.Request, victim *btb.Entry) {
-	if o.att != nil {
-		forwardAttrib(o.att, o.res, kind, set, way, req, victim)
-	}
-	if o.hq != nil {
-		forwardHintQual(o.hq, kind, set, req)
-	}
-	now := o.res.Cycles
+// OnProbe receives structural BTB events, stamped with the live cycle
+// count.
+func (o *observerState) OnProbe(kind btb.ProbeKind, now uint64, _, _ int, req *btb.Request, victim *btb.Entry, _ bool) {
 	switch kind {
 	case btb.ProbeHit:
 		if o.hHitInterval != nil {
@@ -174,13 +152,18 @@ func (o *observerState) afterBlock(leadCycles uint64) {
 	if s := o.obs.Epochs; s != nil && s.Due(o.res.Instructions) {
 		cum := o.cumulative()
 		s.Tick(&cum)
-		if o.att != nil {
-			o.att.SampleHeat(o.res.Instructions, o.bank.main)
-		}
-		if o.hq != nil {
-			o.hq.SampleWindow(o.res.Instructions)
-		}
+		o.fan.epoch()
 	}
+}
+
+// flushEpoch closes the final partial epoch and reports whether one closed.
+func (o *observerState) flushEpoch() bool {
+	s := o.obs.Epochs
+	if s == nil {
+		return false
+	}
+	cum := o.cumulative()
+	return s.Finish(&cum)
 }
 
 // cumulative assembles the sampler's snapshot, including the O(capacity)
@@ -228,10 +211,10 @@ func (o *observerState) cumulative() telemetry.Cumulative {
 	return cum
 }
 
-// onWarmupReset realigns telemetry with the statistics restart at the end
+// OnWarmupReset realigns telemetry with the statistics restart at the end
 // of warmup: the epoch series and cycle-stamp maps restart so the recorded
 // time series covers exactly the measured region.
-func (o *observerState) onWarmupReset() {
+func (o *observerState) OnWarmupReset() {
 	if s := o.obs.Epochs; s != nil {
 		s.Restart()
 	}
@@ -239,43 +222,14 @@ func (o *observerState) onWarmupReset() {
 	clear(o.lastHitCycle)
 }
 
-// finish flushes the final partial epoch and publishes end-of-run gauges
-// and per-policy decision counters.
-func (o *observerState) finish() {
-	if s := o.obs.Epochs; s != nil {
-		cum := o.cumulative()
-		s.Finish(&cum)
-		if o.att != nil {
-			// Close the heatmap with the final partial epoch too.
-			o.att.SampleHeat(o.res.Instructions, o.bank.main)
-		}
-		if o.hq != nil {
-			// Close the final partial drift window too.
-			o.hq.SampleWindow(o.res.Instructions)
-		}
-	}
-	m := o.obs.Metrics
+// OnEpoch is a no-op: the observer's own sampler closed the epoch.
+func (o *observerState) OnEpoch(uint64, *btb.BTB) {}
+
+// OnFinish publishes end-of-run gauges and per-policy decision counters
+// (the final partial epoch was already flushed by flushEpoch).
+func (o *observerState) OnFinish(_ uint64, m *telemetry.Registry) {
 	if m == nil {
 		return
-	}
-	if o.att != nil {
-		_, _, misses, regret := o.att.Counts()
-		m.SetCounter("attrib_miss_compulsory", misses.Compulsory)
-		m.SetCounter("attrib_miss_capacity", misses.Capacity)
-		m.SetCounter("attrib_miss_conflict", misses.Conflict)
-		m.SetCounter("attrib_decisions", regret.Decisions)
-		m.SetCounter("attrib_agree_opt", regret.AgreeOPT)
-		m.SetCounter("attrib_charged", regret.Charged)
-		m.SetCounter("attrib_windfall", regret.Windfall)
-	}
-	if o.hq != nil {
-		s := o.hq.Summary()
-		m.SetCounter("hintqual_accesses", s.Accesses)
-		m.SetCounter("hintqual_branches", uint64(s.Branches))
-		m.SetCounter("hintqual_over_predicted", s.OverPredicted)
-		m.SetCounter("hintqual_under_predicted", s.UnderPredicted)
-		m.SetCounter("hintqual_windows", s.Windows)
-		m.SetCounter("hintqual_drift_epochs", s.DriftEpochs)
 	}
 	cum := o.cumulative()
 	m.Gauge("btb_valid_entries").Set(cum.BTBValid)

@@ -142,36 +142,42 @@ func TestAttributionDoesNotPerturbResult(t *testing.T) {
 	}
 }
 
-// With an observer attached, the heatmap samples on the epoch grid and
-// closes with the final partial epoch.
+// With an observer attached, the heatmap samples on the epoch grid — one
+// row per closed epoch — and closes with the final partial epoch. The second
+// case sets the interval to the measured region's length, so the last block
+// closes the only epoch and the end of the run has no partial epoch left:
+// it must not add a second row at the same instruction count.
 func TestAttributionHeatmapOnEpochGrid(t *testing.T) {
 	tr := smallTrace(t, "kafka")
-	cfg, obs := observedConfig(telemetry.Options{EpochInterval: 5000})
-	att := attribution.New(attribution.Options{})
-	cfg.Attribution = att
-	r := Run(tr, cfg)
+	measured := Run(tr, DefaultConfig()).Instructions
+	for _, interval := range []uint64{5000, measured} {
+		cfg, obs := observedConfig(telemetry.Options{EpochInterval: interval})
+		att := attribution.New(attribution.Options{})
+		cfg.Attribution = att
+		r := Run(tr, cfg)
 
-	rep := att.Report(1)
-	epochs := obs.Epochs.Epochs()
-	if len(rep.Heat) == 0 {
-		t.Fatal("no heatmap rows sampled")
-	}
-	if got, want := len(rep.Heat)+int(rep.HeatDropped), len(epochs); got != want {
-		t.Fatalf("heat rows %d != epochs %d", got, want)
-	}
-	last := rep.Heat[len(rep.Heat)-1]
-	if last.EndInstr != r.Instructions {
-		t.Fatalf("last heat row at instruction %d, run ended at %d", last.EndInstr, r.Instructions)
-	}
-	if len(last.Valid) != cfg.BTBEntries/cfg.BTBWays {
-		t.Fatalf("heat row has %d sets, want %d", len(last.Valid), cfg.BTBEntries/cfg.BTBWays)
-	}
-	var occupied int
-	for _, v := range last.Valid {
-		occupied += int(v)
-	}
-	if occupied == 0 {
-		t.Fatal("final heat row shows an empty BTB after a full run")
+		rep := att.Report(1)
+		epochs := obs.Epochs.Epochs()
+		if len(rep.Heat) == 0 {
+			t.Fatalf("interval %d: no heatmap rows sampled", interval)
+		}
+		if got, want := len(rep.Heat)+int(rep.HeatDropped), len(epochs); got != want {
+			t.Fatalf("interval %d: heat rows %d != epochs %d", interval, got, want)
+		}
+		last := rep.Heat[len(rep.Heat)-1]
+		if last.EndInstr != r.Instructions {
+			t.Fatalf("interval %d: last heat row at instruction %d, run ended at %d", interval, last.EndInstr, r.Instructions)
+		}
+		if len(last.Valid) != cfg.BTBEntries/cfg.BTBWays {
+			t.Fatalf("interval %d: heat row has %d sets, want %d", interval, len(last.Valid), cfg.BTBEntries/cfg.BTBWays)
+		}
+		var occupied int
+		for _, v := range last.Valid {
+			occupied += int(v)
+		}
+		if occupied == 0 {
+			t.Fatalf("interval %d: final heat row shows an empty BTB after a full run", interval)
+		}
 	}
 }
 

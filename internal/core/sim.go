@@ -149,7 +149,6 @@ func (r *fillRing) pop() pendingFill {
 // specialized variants (observed/unobserved × prefetch/no-prefetch) so the
 // steady-state path checks none of it per access.
 type sim struct {
-	cfg *Config
 	res *Result
 
 	accesses []trace.Access
@@ -163,6 +162,7 @@ type sim struct {
 	hier     *cache.Hierarchy
 	pred     bpred.Predictor // nil under PerfectBP
 	obs      *observerState
+	fan      *consumers // nil when no observer or recorder is attached
 	loadRNG  *xrand.RNG
 
 	prefetcher Prefetcher
@@ -244,7 +244,6 @@ func Run(tr *trace.Trace, cfg Config) *Result {
 	}
 
 	s := &sim{
-		cfg:      &cfg,
 		res:      res,
 		accesses: accesses,
 		meta:     meta,
@@ -295,17 +294,12 @@ func Run(tr *trace.Trace, cfg Config) *Result {
 		}
 	}
 
-	// Telemetry attachment: obs is nil for the common uninstrumented run;
-	// the unobserved loop variants never consult it.
+	// Telemetry attachment: obs and fan are nil for the common
+	// uninstrumented run; the unobserved loop variants never consult obs.
 	if cfg.Observer != nil {
 		s.obs = newObserverState(cfg.Observer, res, bank, twoLevel)
 	}
-	if cfg.Attribution != nil {
-		attachAttribution(&cfg, res, bank, s.obs)
-	}
-	if cfg.HintQual != nil {
-		attachHintQual(&cfg, res, bank, s.obs)
-	}
+	s.fan = attachConsumers(&cfg, res, bank, twoLevel, s.obs)
 
 	recs := tr.Records
 	warmupEnd := int(cfg.WarmupFrac * float64(len(recs)))
@@ -332,12 +326,8 @@ func Run(tr *trace.Trace, cfg Config) *Result {
 	res.InstrL1Misses = s.hier.InstrL1Misses
 	res.InstrL2Misses = s.hier.InstrL2Misses
 	res.InstrLLCMisses = s.hier.InstrLLCMisses
-	if s.obs != nil {
-		s.obs.finish()
-	} else if cfg.HintQual != nil {
-		// No epoch grid without an observer: the measured region closes as
-		// one drift window so coverage/accuracy still have a sample.
-		cfg.HintQual.SampleWindow(res.Instructions)
+	if s.fan != nil {
+		s.fan.finish()
 	}
 	return res
 }
@@ -377,14 +367,8 @@ func (s *sim) warmupReset() {
 	}
 	s.ras.Pushes, s.ras.Pops, s.ras.Overflows, s.ras.Underflows = 0, 0, 0, 0
 	s.ibtb.Hits, s.ibtb.Misses = 0, 0
-	if s.obs != nil {
-		s.obs.onWarmupReset()
-	}
-	if s.cfg.Attribution != nil {
-		s.cfg.Attribution.OnWarmupReset()
-	}
-	if s.cfg.HintQual != nil {
-		s.cfg.HintQual.OnWarmupReset()
+	if s.fan != nil {
+		s.fan.warmupReset()
 	}
 }
 

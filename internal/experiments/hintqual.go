@@ -16,11 +16,6 @@ func init() {
 	Registry["hintqual"] = HintQualFig
 }
 
-// hintQualWindow is the drift-window width (retired instructions) for the
-// hint-quality figure; it matches the runner's hintqual epoch interval so
-// daemon jobs and this figure report comparable drift counts.
-const hintQualWindow = 20000
-
 // HintQualFig runs the hint-quality audit (package hintqual) over three
 // freshness grades of Thermometer hint table per application — profiled from
 // the same input the run executes, from a different input of the same
@@ -60,7 +55,7 @@ func HintQualFig(c *Context) []*Table {
 					cc.HintQual = hq
 					// The observer supplies the epoch grid drift windows
 					// close on; the audit itself never perturbs the run.
-					cc.Observer = telemetry.New(telemetry.Options{EpochInterval: hintQualWindow})
+					cc.Observer = telemetry.New(telemetry.Options{EpochInterval: hintqual.DefaultWindow})
 				})
 			s := hq.Summary()
 			rows[i*variants+v] = []string{app, g.name,

@@ -2,12 +2,12 @@
 // do the temperatures profiled offline describe the branches the workload
 // actually executes?
 //
-// The recorder scores every demand BTB access against a same-geometry
-// incremental Belady shadow (belady.Shadow — the identical decision
-// procedure the offline profiler uses), so each static branch accumulates an
-// *observed* hit-to-taken ratio measured under optimal replacement, exactly
-// the quantity the profiler thresholded into temperature buckets. Three
-// derived views:
+// The recorder scores every demand BTB access against the run's shared
+// same-geometry Belady shadow (belady.Shadow, stepped by package core — the
+// identical decision procedure the offline profiler uses), so each static
+// branch accumulates an *observed* hit-to-taken ratio measured under optimal
+// replacement, exactly the quantity the profiler thresholded into
+// temperature buckets. Three derived views:
 //
 //   - a per-static-branch confusion matrix (profiled bucket × observed
 //     bucket, both branch-weighted and access-weighted): profiled-hot-
@@ -25,10 +25,8 @@
 // Bounded state: the drift-window ring retains the last WindowCap rows and
 // the per-branch table grows with the static-branch working set (the same
 // bound as the profiler itself), never with trace length. The per-access
-// path is allocation-free once the branch set and shadow sets are warm
-// (pinned by TestRecorderSteadyStateAllocs). The fully-associative FAShadow
-// is deliberately *not* used here: its lazy heap grows on every access while
-// the working set sits below capacity, which would break that bound.
+// path is allocation-free once the branch set is warm (pinned by
+// TestRecorderSteadyStateAllocs).
 //
 // The Recorder is safe for concurrent use: the simulator mutates it while
 // the live debug surface (/debug/hintqual) reads snapshots.
@@ -37,10 +35,15 @@ package hintqual
 import (
 	"sync"
 
-	"thermometer/internal/belady"
 	"thermometer/internal/btb"
 	"thermometer/internal/profile"
+	"thermometer/internal/telemetry"
 )
+
+// DefaultWindow is the drift-window width, in retired instructions, that
+// the runner's hintqual jobs and the hintqual paper figure close windows
+// on, so both report comparable drift counts.
+const DefaultWindow = 20000
 
 // WindowRow is one closed drift window: the predicted (profiled) and
 // observed temperature distributions over the window's demand accesses,
@@ -113,10 +116,6 @@ type Recorder struct {
 	hints *profile.HintTable // guarded by mu
 	cats  int                // guarded by mu; cfg.Categories()
 
-	// shadow is the same-geometry Belady reference the observed ratios are
-	// measured against.
-	shadow *belady.Shadow // guarded by mu
-
 	perBranch map[uint64]*branchStat // guarded by mu
 
 	// Headline counters (post-warmup).
@@ -127,21 +126,10 @@ type Recorder struct {
 	// the *running* observed bucket as of each access.
 	confAccess [][]uint64 // guarded by mu
 
-	// Open drift window accumulators, closed by SampleWindow.
-	winStart    uint64   // guarded by mu; instruction count at window open
-	winAccesses uint64   // guarded by mu
-	winPred     []uint64 // guarded by mu
-	winObs      []uint64 // guarded by mu
-	winSetAgree []uint32 // guarded by mu
-	winSetTotal []uint32 // guarded by mu
+	win         WindowRow                  // guarded by mu; the open drift window, closed by OnEpoch
+	windows     *telemetry.Ring[WindowRow] // guarded by mu; last WindowCap closed windows
+	driftEpochs uint64                     // guarded by mu
 
-	// Closed-window ring (last windowCap rows).
-	windows     []WindowRow // guarded by mu
-	winHead     int         // guarded by mu
-	winTotal    uint64      // guarded by mu
-	driftEpochs uint64      // guarded by mu
-
-	windowCap int
 	threshold float64
 }
 
@@ -153,7 +141,7 @@ func New(opts Options) *Recorder {
 	if opts.DriftThreshold <= 0 {
 		opts.DriftThreshold = 0.25
 	}
-	return &Recorder{windowCap: opts.WindowCap, threshold: opts.DriftThreshold}
+	return &Recorder{windows: telemetry.NewRing[WindowRow](opts.WindowCap), threshold: opts.DriftThreshold}
 }
 
 // Threshold returns the drift threshold the recorder flags windows against.
@@ -175,18 +163,29 @@ func (r *Recorder) Bind(policy string, sets, ways int, hints *profile.HintTable)
 		r.cfg = profile.DefaultConfig()
 	}
 	r.cats = r.cfg.Categories()
-	r.shadow = belady.NewShadow(sets, ways)
 	r.perBranch = make(map[uint64]*branchStat, 1<<12)
+	r.reset()
+}
+
+// reset zeroes the measured region: counters, the confusion matrix, the open
+// window and the window ring. Caller holds r.mu.
+func (r *Recorder) reset() {
 	r.accesses, r.hintedAccesses = 0, 0
 	r.confAccess = makeMatrix(r.cats)
-	r.winStart, r.winAccesses = 0, 0
-	r.winPred = make([]uint64, r.cats)
-	r.winObs = make([]uint64, r.cats)
-	r.winSetAgree = make([]uint32, sets)
-	r.winSetTotal = make([]uint32, sets)
-	r.windows = make([]WindowRow, 0, r.windowCap)
-	r.winHead, r.winTotal = 0, 0
+	r.openWindow(0)
+	r.windows.Reset()
 	r.driftEpochs = 0
+}
+
+// openWindow starts an empty drift window at instr. Caller holds r.mu.
+func (r *Recorder) openWindow(instr uint64) {
+	r.win = WindowRow{
+		StartInstr: instr,
+		Predicted:  make([]uint64, r.cats),
+		Observed:   make([]uint64, r.cats),
+		SetAgree:   make([]uint32, r.sets),
+		SetTotal:   make([]uint32, r.sets),
+	}
 }
 
 func makeMatrix(n int) [][]uint64 {
@@ -198,7 +197,7 @@ func makeMatrix(n int) [][]uint64 {
 }
 
 // bound reports whether Bind has run (all probe entry points no-op before).
-func (r *Recorder) bound() bool { return r.shadow != nil }
+func (r *Recorder) bound() bool { return r.perBranch != nil }
 
 // branch returns the audit state for pc, resolving its profiled bucket on
 // first touch. Caller holds r.mu.
@@ -217,21 +216,25 @@ func (r *Recorder) branch(pc uint64) *branchStat {
 	return b
 }
 
-// OnDemand scores one demand access (hit, insert, or bypass — the probe
-// kinds that constitute the demand stream) against the Belady shadow. The
-// observed bucket is the branch's *running* shadow hit-to-taken ratio
-// including this access, so the window distributions track drift as it
-// happens rather than only in hindsight.
-func (r *Recorder) OnDemand(set int, req *btb.Request) {
+// OnProbe scores one demand access (hit, insert, or bypass — the probe
+// kinds that constitute the demand stream) in the given set: optHit is the
+// shared same-geometry Belady shadow's verdict on it. Evictions are
+// replacement decisions and prefetch fills are not demand accesses, so
+// neither is scored. The observed bucket is the branch's *running* shadow
+// hit-to-taken ratio including this access, so the window distributions
+// track drift as it happens rather than only in hindsight.
+func (r *Recorder) OnProbe(kind btb.ProbeKind, _ uint64, set, _ int, req *btb.Request, _ *btb.Entry, optHit bool) {
+	if !kind.Demand() {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.bound() {
 		return
 	}
 	b := r.branch(req.PC)
-	out, _ := r.shadow.Access(req.PC, req.NextUse)
 	b.accesses++
-	if out == belady.ShadowHit {
+	if optHit {
 		b.shadowHits++
 	}
 	obs := r.cfg.Categorize(float64(b.shadowHits) / float64(b.accesses))
@@ -241,63 +244,42 @@ func (r *Recorder) OnDemand(set int, req *btb.Request) {
 		r.hintedAccesses++
 	}
 	r.confAccess[b.predicted][obs]++
-	r.winAccesses++
-	r.winPred[b.predicted]++
-	r.winObs[obs]++
+	w := &r.win
+	w.Accesses++
+	w.Predicted[b.predicted]++
+	w.Observed[obs]++
 	if set >= 0 && set < r.sets {
-		r.winSetTotal[set]++
+		w.SetTotal[set]++
 		if b.predicted == obs {
-			r.winSetAgree[set]++
+			w.SetAgree[set]++
 		}
 	}
 }
 
-// SampleWindow closes the open drift window at an epoch boundary: the
-// accumulated predicted and observed distributions are compared by L1
-// distance, flagged against the threshold, and pushed onto the window ring.
-// Call it on the telemetry epoch grid; empty windows are skipped so the
-// series only contains epochs that scored accesses.
-func (r *Recorder) SampleWindow(instr uint64) {
+// OnEpoch closes the open drift window at an epoch boundary, instr retired
+// instructions into the measured region: the accumulated predicted and
+// observed distributions are compared by L1 distance, flagged against the
+// threshold, and pushed onto the window ring. Empty windows are skipped so
+// the series only contains epochs that scored accesses.
+func (r *Recorder) OnEpoch(instr uint64, _ *btb.BTB) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.bound() {
 		return
 	}
-	if r.winAccesses == 0 {
-		r.winStart = instr
+	w := r.win
+	if w.Accesses == 0 {
+		r.win.StartInstr = instr
 		return
 	}
-	row := WindowRow{
-		StartInstr: r.winStart,
-		EndInstr:   instr,
-		Accesses:   r.winAccesses,
-		Predicted:  append([]uint64(nil), r.winPred...),
-		Observed:   append([]uint64(nil), r.winObs...),
-		SetAgree:   append([]uint32(nil), r.winSetAgree...),
-		SetTotal:   append([]uint32(nil), r.winSetTotal...),
-	}
-	row.L1 = distL1(row.Predicted, row.Observed, row.Accesses)
-	row.Drift = row.L1 > r.threshold
-	if row.Drift {
+	w.EndInstr = instr
+	w.L1 = distL1(w.Predicted, w.Observed, w.Accesses)
+	w.Drift = w.L1 > r.threshold
+	if w.Drift {
 		r.driftEpochs++
 	}
-	if len(r.windows) < r.windowCap {
-		r.windows = append(r.windows, row)
-	} else {
-		r.windows[r.winHead] = row
-		r.winHead++
-		if r.winHead == r.windowCap {
-			r.winHead = 0
-		}
-	}
-	r.winTotal++
-
-	r.winStart = instr
-	r.winAccesses = 0
-	clear(r.winPred)
-	clear(r.winObs)
-	clear(r.winSetAgree)
-	clear(r.winSetTotal)
+	r.windows.Push(w)
+	r.openWindow(instr)
 }
 
 // distL1 is the L1 distance between the two count vectors normalized by
@@ -315,27 +297,35 @@ func distL1(pred, obs []uint64, total uint64) float64 {
 }
 
 // OnWarmupReset restarts the measurement counters in lockstep with the
-// simulator's end-of-warmup statistics reset. Learned state — the shadow
-// model contents and the per-branch hint resolutions — stays trained,
-// exactly like the BTB itself; only the measured ratios restart.
+// simulator's end-of-warmup statistics reset. Learned state — the
+// per-branch hint resolutions — stays, exactly like the BTB itself; only
+// the measured ratios restart.
 func (r *Recorder) OnWarmupReset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.bound() {
 		return
 	}
-	r.shadow.ResetStats()
 	for _, b := range r.perBranch {
 		b.accesses, b.shadowHits = 0, 0
 	}
-	r.accesses, r.hintedAccesses = 0, 0
-	r.confAccess = makeMatrix(r.cats)
-	r.winStart, r.winAccesses = 0, 0
-	clear(r.winPred)
-	clear(r.winObs)
-	clear(r.winSetAgree)
-	clear(r.winSetTotal)
-	r.windows = r.windows[:0]
-	r.winHead, r.winTotal = 0, 0
-	r.driftEpochs = 0
+	r.reset()
+}
+
+// OnFinish closes the final partial drift window at instr — so a run
+// without an epoch grid still scores its whole measured region as one
+// window — and publishes the summary as hintqual_* metrics on m (nil: no
+// registry).
+func (r *Recorder) OnFinish(instr uint64, m *telemetry.Registry) {
+	r.OnEpoch(instr, nil)
+	if m == nil {
+		return
+	}
+	s := r.Summary()
+	m.SetCounter("hintqual_accesses", s.Accesses)
+	m.SetCounter("hintqual_branches", uint64(s.Branches))
+	m.SetCounter("hintqual_over_predicted", s.OverPredicted)
+	m.SetCounter("hintqual_under_predicted", s.UnderPredicted)
+	m.SetCounter("hintqual_windows", s.Windows)
+	m.SetCounter("hintqual_drift_epochs", s.DriftEpochs)
 }

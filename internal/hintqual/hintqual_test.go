@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"thermometer/internal/belady"
 	"thermometer/internal/btb"
 	"thermometer/internal/profile"
 	"thermometer/internal/trace"
@@ -17,18 +18,37 @@ func table(hints map[uint64]uint8) *profile.HintTable {
 	return &profile.HintTable{Config: profile.DefaultConfig(), Hints: hints}
 }
 
+// feed mimics core's probe fan-out for one bound recorder: a same-geometry
+// Belady shadow steps once per demand access and the recorder reads its
+// verdict.
+type feed struct {
+	*Recorder
+	opt *belady.Shadow
+}
+
+func bind(r *Recorder, policy string, sets, ways int, hints *profile.HintTable) *feed {
+	r.Bind(policy, sets, ways, hints)
+	return &feed{r, belady.NewShadow(sets, ways)}
+}
+
+func (f *feed) demand(set int, req *btb.Request) {
+	out, _ := f.opt.Access(req.PC, req.NextUse)
+	f.OnProbe(btb.ProbeInsert, 0, set, 0, req, nil, out == belady.ShadowHit)
+}
+
 // access drives one demand access through the recorder. nextUse positions
 // are synthesized as a strictly increasing stream so every access promises
 // reuse (the shadow then behaves like a plain set-associative fill).
-func access(r *Recorder, pc uint64, idx int) {
-	r.OnDemand(int(pc%4), &btb.Request{PC: pc, NextUse: idx + 1, Index: idx})
+func access(f *feed, pc uint64, idx int) {
+	f.demand(int(pc%4), &btb.Request{PC: pc, NextUse: idx + 1, Index: idx})
 }
 
 func TestUnboundRecorderIsInert(t *testing.T) {
 	r := New(Options{})
-	access(r, 0x40, 0) // must not panic
-	r.SampleWindow(100)
+	r.OnProbe(btb.ProbeHit, 0, 0, 0, &btb.Request{PC: 0x40}, nil, true) // must not panic
+	r.OnEpoch(100, nil)
 	r.OnWarmupReset()
+	r.OnFinish(200, nil)
 	if s := r.Summary(); s.Accesses != 0 {
 		t.Fatalf("unbound recorder recorded %d accesses", s.Accesses)
 	}
@@ -44,17 +64,17 @@ func TestCoverageAndConfusion(t *testing.T) {
 	// hot); 0x21 is hinted Hot but touched once (observed cold); 0x42 is
 	// unhinted and re-accessed (observed hot, predicted the Warm default).
 	r := New(Options{})
-	r.Bind("lru", 4, 1, table(map[uint64]uint8{0x10: profile.Hot, 0x21: profile.Hot}))
+	f := bind(r, "lru", 4, 1, table(map[uint64]uint8{0x10: profile.Hot, 0x21: profile.Hot}))
 
 	idx := 0
 	for i := 0; i < 10; i++ {
-		access(r, 0x10, idx)
+		access(f, 0x10, idx)
 		idx++
 	}
-	access(r, 0x21, idx)
+	access(f, 0x21, idx)
 	idx++
 	for i := 0; i < 10; i++ {
-		access(r, 0x42, idx)
+		access(f, 0x42, idx)
 		idx++
 	}
 
@@ -105,20 +125,20 @@ func TestDriftWindows(t *testing.T) {
 	for pc := uint64(0x100); pc < 0x140; pc++ {
 		hints[pc] = profile.Hot
 	}
-	r.Bind("lru", 4, 1, table(hints))
+	f := bind(r, "lru", 4, 1, table(hints))
 
 	idx := 0
 	for i := 0; i < 40; i++ {
-		access(r, 0x10, idx)
+		access(f, 0x10, idx)
 		idx++
 	}
-	r.SampleWindow(1000)
+	f.OnEpoch(1000, nil)
 	for pc := uint64(0x100); pc < 0x140; pc++ {
 		// One cold touch each: profiled hot, observed cold.
-		r.OnDemand(int(pc%4), &btb.Request{PC: pc, NextUse: trace.NoNextUse, Index: idx})
+		f.demand(int(pc%4), &btb.Request{PC: pc, NextUse: trace.NoNextUse, Index: idx})
 		idx++
 	}
-	r.SampleWindow(2000)
+	f.OnEpoch(2000, nil)
 
 	rep := r.Report(0)
 	if len(rep.Windows) != 2 {
@@ -152,10 +172,10 @@ func TestDriftWindows(t *testing.T) {
 
 func TestEmptyWindowSkipped(t *testing.T) {
 	r := New(Options{})
-	r.Bind("lru", 4, 1, nil)
-	r.SampleWindow(500)
-	access(r, 0x10, 0)
-	r.SampleWindow(1000)
+	f := bind(r, "lru", 4, 1, nil)
+	f.OnEpoch(500, nil)
+	access(f, 0x10, 0)
+	f.OnEpoch(1000, nil)
 	rep := r.Report(0)
 	if len(rep.Windows) != 1 {
 		t.Fatalf("windows = %d, want 1 (empty window must be skipped)", len(rep.Windows))
@@ -167,10 +187,10 @@ func TestEmptyWindowSkipped(t *testing.T) {
 
 func TestWindowRingBounded(t *testing.T) {
 	r := New(Options{WindowCap: 4})
-	r.Bind("lru", 4, 1, nil)
+	f := bind(r, "lru", 4, 1, nil)
 	for i := 0; i < 10; i++ {
-		access(r, 0x10, i)
-		r.SampleWindow(uint64(i+1) * 100)
+		access(f, 0x10, i)
+		f.OnEpoch(uint64(i+1)*100, nil)
 	}
 	rep := r.Report(0)
 	if len(rep.Windows) != 4 || rep.WindowsDropped != 6 {
@@ -184,18 +204,18 @@ func TestWindowRingBounded(t *testing.T) {
 
 func TestOnWarmupResetKeepsTraining(t *testing.T) {
 	r := New(Options{})
-	r.Bind("lru", 4, 1, table(map[uint64]uint8{0x10: profile.Hot}))
+	f := bind(r, "lru", 4, 1, table(map[uint64]uint8{0x10: profile.Hot}))
 	for i := 0; i < 5; i++ {
-		access(r, 0x10, i)
+		access(f, 0x10, i)
 	}
-	r.SampleWindow(100)
+	f.OnEpoch(100, nil)
 	r.OnWarmupReset()
 	if s := r.Summary(); s.Accesses != 0 || s.Windows != 0 {
 		t.Fatalf("post-reset accesses/windows = %d/%d, want 0/0", s.Accesses, s.Windows)
 	}
 	// The shadow stayed trained: the next access to 0x10 is an immediate
 	// hit, so the branch observes Hot from its very first measured access.
-	access(r, 0x10, 5)
+	access(f, 0x10, 5)
 	rep := r.Report(0)
 	if got := rep.ConfusionBranches[profile.Hot][profile.Hot]; got != 1 {
 		t.Fatalf("post-reset confusion hot/hot = %d, want 1 (shadow lost training?)", got)
@@ -210,32 +230,32 @@ func TestOnWarmupResetKeepsTraining(t *testing.T) {
 // allocator and it only runs on epoch boundaries.
 func TestRecorderSteadyStateAllocs(t *testing.T) {
 	r := New(Options{})
-	r.Bind("lru", 16, 4, table(map[uint64]uint8{0x10: profile.Hot}))
+	f := bind(r, "lru", 16, 4, table(map[uint64]uint8{0x10: profile.Hot}))
 	reqs := make([]btb.Request, 256)
 	for i := range reqs {
 		reqs[i] = btb.Request{PC: uint64(0x1000 + i), NextUse: i + 1, Index: i}
 	}
 	// Warm the branch table and fill the shadow sets.
 	for i := range reqs {
-		r.OnDemand(i%16, &reqs[i])
+		f.demand(i%16, &reqs[i])
 	}
 	idx := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		r.OnDemand(idx%16, &reqs[idx%len(reqs)])
+		f.demand(idx%16, &reqs[idx%len(reqs)])
 		idx++
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state OnDemand allocates %.1f objects/op, want 0", allocs)
+		t.Fatalf("steady-state demand access allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
 func TestHandlerSurfaces(t *testing.T) {
 	r := New(Options{})
-	r.Bind("srrip", 4, 1, table(map[uint64]uint8{0x10: profile.Hot}))
+	f := bind(r, "srrip", 4, 1, table(map[uint64]uint8{0x10: profile.Hot}))
 	for i := 0; i < 8; i++ {
-		access(r, 0x10, i)
+		access(f, 0x10, i)
 	}
-	r.SampleWindow(100)
+	f.OnEpoch(100, nil)
 	h := r.Handler()
 
 	rec := httptest.NewRecorder()
@@ -273,12 +293,12 @@ func TestHandlerSurfaces(t *testing.T) {
 
 func TestWriteTextReport(t *testing.T) {
 	r := New(Options{})
-	r.Bind("lru", 4, 1, table(map[uint64]uint8{0x10: profile.Hot, 0x21: profile.Hot}))
+	f := bind(r, "lru", 4, 1, table(map[uint64]uint8{0x10: profile.Hot, 0x21: profile.Hot}))
 	for i := 0; i < 8; i++ {
-		access(r, 0x10, i)
+		access(f, 0x10, i)
 	}
-	access(r, 0x21, 8)
-	r.SampleWindow(100)
+	access(f, 0x21, 8)
+	f.OnEpoch(100, nil)
 
 	var sb strings.Builder
 	if err := r.WriteText(&sb, 10); err != nil {

@@ -1,141 +1,53 @@
 package hintqual
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
+
+	"thermometer/internal/telemetry"
 )
 
 // Handler returns the live debug surface for the recorder:
 //
-//	/debug/hintqual             full Report as JSON
+//	/debug/hintqual             full Report as JSON (?top=N bounds the
+//	                            mismatch table)
 //	/debug/hintqual/heatmap     HTML page with an inline-SVG per-set
 //	                            accuracy heatmap and the drift strip
 //	/debug/hintqual/windows.csv the retained drift windows as CSV
 //
-// JSON responses accept ?top=N to bound the mismatch table. The handler is
-// mounted by telemetry.Serve via core's Config wiring (btbsim -hintqual
-// -http), next to /debug/attrib.
+// btbsim -hintqual -http mounts it on the telemetry server, next to
+// /debug/attrib.
 func (r *Recorder) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/hintqual", r.serveJSON)
-	mux.HandleFunc("/debug/hintqual/heatmap", r.serveHeatmapHTML)
-	mux.HandleFunc("/debug/hintqual/windows.csv", r.serveWindowsCSV)
-	return mux
-}
-
-func (r *Recorder) serveJSON(w http.ResponseWriter, req *http.Request) {
-	topN := 20
-	if v := req.URL.Query().Get("top"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			http.Error(w, "top must be a positive integer", http.StatusBadRequest)
-			return
-		}
-		topN = n
+	p := &telemetry.ReportPages{
+		Prefix: "/debug/hintqual", CSVName: "windows.csv", Title: "Hint-quality heatmap",
+		JSON: func(top int) any { return r.Report(top) },
+		CSV:  r.WriteWindowsCSV,
+		Page: r.heatmapPage,
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(r.Report(topN))
+	return p.Handler()
 }
 
-func (r *Recorder) serveWindowsCSV(w http.ResponseWriter, req *http.Request) {
-	w.Header().Set("Content-Type", "text/csv")
-	_ = r.WriteWindowsCSV(w)
-}
-
-// accuracySVG renders the per-set accuracy heatmap (windows on x, sets on
-// y): cell (window e, set s) is the window's agreement percentage for that
-// set, shaded dark (0%) to bright (100%). Sets are downsampled to at most
-// maxBands horizontal bands so the image stays small for large geometries.
-func accuracySVG(sb *strings.Builder, windows []WindowRow, sets int) {
-	const (
-		maxBands = 128
-		cellW    = 6
-		cellH    = 4
-	)
-	bands := sets
-	per := 1
-	if bands > maxBands {
-		per = (sets + maxBands - 1) / maxBands
-		bands = (sets + per - 1) / per
-	}
-	fmt.Fprintf(sb, `<svg width="%d" height="%d" xmlns="http://www.w3.org/2000/svg">`,
-		len(windows)*cellW, bands*cellH)
-	for e := range windows {
-		row := &windows[e]
-		for b := 0; b < bands; b++ {
-			var agree, total uint64
-			for s := b * per; s < (b+1)*per && s < sets; s++ {
-				agree += uint64(row.SetAgree[s])
-				total += uint64(row.SetTotal[s])
-			}
-			// Sets with no accesses this window render neutral gray;
-			// otherwise dark red (0% agreement) to bright green (100%).
-			red, green, blue := 60, 60, 60
-			if total > 0 {
-				t := float64(agree) / float64(total)
-				red = int(200 - 170*t)
-				green = int(40 + 180*t)
-				blue = 50
-			}
-			fmt.Fprintf(sb, `<rect x="%d" y="%d" width="%d" height="%d" fill="rgb(%d,%d,%d)"/>`,
-				e*cellW, b*cellH, cellW, cellH, red, green, blue)
-		}
-	}
-	sb.WriteString(`</svg>`)
-}
-
-// driftSVG renders the drift strip: one cell per window, height scaled to
-// the L1 distance (full scale 2.0), orange when flagged as drift.
-func driftSVG(sb *strings.Builder, windows []WindowRow) {
-	const (
-		cellW = 6
-		maxH  = 48
-	)
-	fmt.Fprintf(sb, `<svg width="%d" height="%d" xmlns="http://www.w3.org/2000/svg">`,
-		len(windows)*cellW, maxH)
-	for e := range windows {
-		h := int(windows[e].L1 / 2 * maxH)
-		if h < 1 {
-			h = 1
-		}
-		color := "rgb(90,130,220)"
-		if windows[e].Drift {
-			color = "rgb(240,140,30)"
-		}
-		fmt.Fprintf(sb, `<rect x="%d" y="%d" width="%d" height="%d" fill="%s"/>`,
-			e*cellW, maxH-h, cellW, h, color)
-	}
-	sb.WriteString(`</svg>`)
-}
-
-func (r *Recorder) serveHeatmapHTML(w http.ResponseWriter, req *http.Request) {
+// heatmapPage writes the per-set accuracy heatmap (x: drift windows, y:
+// sets) and the drift strip.
+func (r *Recorder) heatmapPage(sb *strings.Builder) {
 	rep := r.Report(1)
-	var sb strings.Builder
-	sb.WriteString(`<!DOCTYPE html><html><head><title>Hint-quality heatmap</title>` +
-		`<style>body{font-family:monospace;background:#111;color:#ddd;padding:1em}` +
-		`h2{margin-bottom:0.2em}</style></head><body>`)
-	fmt.Fprintf(&sb, `<h1>Hint quality — policy=%s, %d sets &times; %d ways</h1>`,
+	fmt.Fprintf(sb, `<h1>Hint quality — policy=%s, %d sets &times; %d ways</h1>`,
 		rep.Policy, rep.Sets, rep.Ways)
-	fmt.Fprintf(&sb, `<p>accuracy %.2f%% of branches, coverage %.2f%% of accesses, `+
-		`%d/%d windows drifted (L1 &gt; %.2f). `+
-		`<a href="/debug/hintqual">JSON report</a> &middot; `+
-		`<a href="/debug/hintqual/windows.csv">CSV</a></p>`,
+	fmt.Fprintf(sb, `<p>accuracy %.2f%% of branches, coverage %.2f%% of accesses, `+
+		`%d/%d windows drifted (L1 &gt; %.2f).</p>`,
 		100*rep.Summary.AccuracyBranches, 100*rep.Summary.CoverageAccesses,
 		rep.Summary.DriftEpochs, rep.Summary.Windows, rep.Threshold)
 	if len(rep.Windows) == 0 {
 		sb.WriteString(`<p>no drift windows yet</p>`)
-	} else {
-		sb.WriteString(`<h2>per-set hint accuracy (x: drift windows, y: sets)</h2>`)
-		accuracySVG(&sb, rep.Windows, rep.Sets)
-		sb.WriteString(`<h2>windowed L1 drift (orange: flagged)</h2>`)
-		driftSVG(&sb, rep.Windows)
+		return
 	}
-	sb.WriteString(`</body></html>`)
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	_, _ = w.Write([]byte(sb.String()))
+	sb.WriteString(`<h2>per-set hint accuracy (x: drift windows, y: sets)</h2>`)
+	telemetry.HeatmapSVG(sb, len(rep.Windows), rep.Sets, func(e, s int) (float64, float64) {
+		return float64(rep.Windows[e].SetAgree[s]), float64(rep.Windows[e].SetTotal[s])
+	})
+	sb.WriteString(`<h2>windowed L1 drift (brightest: L1 = 2)</h2>`)
+	telemetry.HeatmapSVG(sb, len(rep.Windows), 1, func(e, _ int) (float64, float64) {
+		return rep.Windows[e].L1, 2
+	})
 }

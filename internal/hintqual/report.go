@@ -1,11 +1,12 @@
 package hintqual
 
 import (
+	"bytes"
 	"fmt"
 	"io"
-	"sort"
 
 	"thermometer/internal/detmap"
+	"thermometer/internal/telemetry"
 )
 
 // Summary is the compact hint-quality digest embedded in runner outcomes
@@ -66,21 +67,12 @@ type Report struct {
 	WindowsDropped uint64      `json:"windows_dropped"`
 }
 
-// ringSlice returns the retained ring contents oldest-first. Caller holds
-// r.mu.
-func ringSlice[T any](ring []T, head int) []T {
-	out := make([]T, 0, len(ring))
-	out = append(out, ring[head:]...)
-	out = append(out, ring[:head]...)
-	return out
-}
-
 // summaryLocked assembles the digest. Caller holds r.mu.
 func (r *Recorder) summaryLocked() Summary {
 	s := Summary{
 		Accesses:    r.accesses,
 		Branches:    len(r.perBranch),
-		Windows:     r.winTotal,
+		Windows:     r.windows.Total(),
 		DriftEpochs: r.driftEpochs,
 	}
 	var hintedBranches, matchBranches int
@@ -112,10 +104,8 @@ func (r *Recorder) summaryLocked() Summary {
 	if s.Accesses > 0 {
 		s.AccuracyAccesses = float64(diag) / float64(s.Accesses)
 	}
-	for i := range r.windows {
-		if r.windows[i].L1 > s.MaxWindowL1 {
-			s.MaxWindowL1 = r.windows[i].L1
-		}
+	for _, w := range r.windows.Slice() {
+		s.MaxWindowL1 = max(s.MaxWindowL1, w.L1)
 	}
 	return s
 }
@@ -130,44 +120,32 @@ func (r *Recorder) observedBucket(b *branchStat) uint8 {
 	return r.cfg.Categorize(float64(b.shadowHits) / float64(b.accesses))
 }
 
-// Summary snapshots the compact digest without materialising the ring or
-// confusion matrices' report forms.
+// Summary snapshots the compact digest without building the confusion
+// matrices' report forms or the mismatch table.
 func (r *Recorder) Summary() Summary {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.bound() {
-		return Summary{}
-	}
 	return r.summaryLocked()
 }
 
 // Report snapshots the recorder. topN bounds TopMismatches (<= 0 means 20).
 func (r *Recorder) Report(topN int) *Report {
-	if topN <= 0 {
-		topN = 20
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	// Every table is built non-nil, so the JSON body carries arrays even
+	// when a client snapshots the recorder before Bind.
 	rep := &Report{
-		Policy:    r.policy,
-		Sets:      r.sets,
-		Ways:      r.ways,
-		Threshold: r.threshold,
-		// Non-nil so the JSON body always carries arrays, even when a
-		// client snapshots the recorder before Bind.
-		ConfusionBranches: [][]uint64{},
-		ConfusionAccesses: [][]uint64{},
-		TopMismatches:     []BranchAudit{},
-		Windows:           []WindowRow{},
+		Policy:            r.policy,
+		Sets:              r.sets,
+		Ways:              r.ways,
+		Categories:        r.cats,
+		Threshold:         r.threshold,
+		Summary:           r.summaryLocked(),
+		ConfusionBranches: makeMatrix(r.cats),
+		ConfusionAccesses: makeMatrix(r.cats),
+		Windows:           r.windows.Slice(),
+		WindowsDropped:    r.windows.Dropped(),
 	}
-	if !r.bound() {
-		return rep
-	}
-	rep.Categories = r.cats
-	rep.Summary = r.summaryLocked()
-
-	rep.ConfusionBranches = makeMatrix(r.cats)
-	rep.ConfusionAccesses = makeMatrix(r.cats)
 	for i := range r.confAccess {
 		copy(rep.ConfusionAccesses[i], r.confAccess[i])
 	}
@@ -189,19 +167,7 @@ func (r *Recorder) Report(topN int) *Report {
 		}
 		mismatches = append(mismatches, a)
 	}
-	sort.SliceStable(mismatches, func(i, j int) bool {
-		if mismatches[i].Accesses != mismatches[j].Accesses {
-			return mismatches[i].Accesses > mismatches[j].Accesses
-		}
-		return mismatches[i].PC < mismatches[j].PC
-	})
-	if len(mismatches) > topN {
-		mismatches = mismatches[:topN]
-	}
-	rep.TopMismatches = mismatches
-
-	rep.Windows = ringSlice(r.windows, r.winHead)
-	rep.WindowsDropped = r.winTotal - uint64(len(rep.Windows))
+	rep.TopMismatches = telemetry.TopN(mismatches, topN, func(a *BranchAudit) uint64 { return a.Accesses })
 	return rep
 }
 
@@ -210,12 +176,8 @@ func (r *Recorder) Report(topN int) *Report {
 // epochs, and the topN most-executed mismatched branches.
 func (r *Recorder) WriteText(w io.Writer, topN int) error {
 	rep := r.Report(topN)
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
+	var b bytes.Buffer
+	p := func(format string, args ...any) { fmt.Fprintf(&b, format, args...) }
 	s := &rep.Summary
 	p("hint-quality report (policy=%s, %d sets x %d ways, %d buckets)\n",
 		rep.Policy, rep.Sets, rep.Ways, rep.Categories)
@@ -246,6 +208,7 @@ func (r *Recorder) WriteText(w io.Writer, topN int) error {
 		}
 	}
 	p("  window ring: %d retained, %d dropped\n", len(rep.Windows), rep.WindowsDropped)
+	_, err := w.Write(b.Bytes())
 	return err
 }
 
@@ -253,12 +216,8 @@ func (r *Recorder) WriteText(w io.Writer, topN int) error {
 // window with bounds, access count, the two distributions, L1, and flag.
 func (r *Recorder) WriteWindowsCSV(w io.Writer) error {
 	rep := r.Report(1)
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
+	var b bytes.Buffer
+	p := func(format string, args ...any) { fmt.Fprintf(&b, format, args...) }
 	p("start_instr,end_instr,accesses")
 	for i := 0; i < rep.Categories; i++ {
 		p(",predicted_%d", i)
@@ -278,5 +237,6 @@ func (r *Recorder) WriteWindowsCSV(w io.Writer) error {
 		}
 		p(",%.6f,%t\n", row.L1, row.Drift)
 	}
+	_, err := w.Write(b.Bytes())
 	return err
 }

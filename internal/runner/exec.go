@@ -69,11 +69,6 @@ type hintSlot struct {
 const (
 	maxCachedTraces     = 64
 	maxCachedHintTables = 256
-
-	// hintQualEpochInterval is the drift-window width (in retired
-	// instructions) for hintqual-enabled jobs. Fixed so outcomes stay pure
-	// functions of the spec.
-	hintQualEpochInterval = 20000
 )
 
 var (
@@ -222,12 +217,13 @@ func (e *Engine) execute(s Spec, sc spanScope) (*Outcome, error) {
 		var hq *hintqual.Recorder
 		if s.HintQual {
 			// A minimal observer supplies the epoch grid the drift windows
-			// close on; no event tracing, so the tap stays cheap. The audit
-			// never perturbs the simulated numbers (pinned by
+			// close on; no event tracing, so the tap stays cheap. The fixed
+			// window keeps outcomes pure functions of the spec, and the
+			// audit never perturbs the simulated numbers (pinned by
 			// TestHintQualObservationGolden).
 			hq = hintqual.New(hintqual.Options{})
 			cfg.HintQual = hq
-			cfg.Observer = telemetry.New(telemetry.Options{EpochInterval: hintQualEpochInterval})
+			cfg.Observer = telemetry.New(telemetry.Options{EpochInterval: hintqual.DefaultWindow})
 		}
 		r := core.Run(tr, cfg)
 		sim.EndDetail("timing")

@@ -126,15 +126,18 @@ func (s *EpochSampler) Tick(cum *Cumulative) {
 }
 
 // Finish flushes the final partial epoch (if any instructions retired since
-// the last boundary) and freezes the sampler.
-func (s *EpochSampler) Finish(cum *Cumulative) {
+// the last boundary) and freezes the sampler. It reports whether it closed
+// an epoch.
+func (s *EpochSampler) Finish(cum *Cumulative) bool {
 	if s.done {
-		return
-	}
-	if cum.Instructions > s.prev.Instructions {
-		s.close(cum)
+		return false
 	}
 	s.done = true
+	if cum.Instructions > s.prev.Instructions {
+		s.close(cum)
+		return true
+	}
+	return false
 }
 
 func (s *EpochSampler) close(cum *Cumulative) {

@@ -74,28 +74,21 @@ type Event struct {
 // always available at a fixed memory cost. The zero value is unusable; use
 // NewTracer.
 type Tracer struct {
-	buf    []Event
-	head   int    // index of the next write
-	total  uint64 // events ever recorded
+	ring   *Ring[Event]
 	byKind [numEventKinds]uint64
 }
 
 // NewTracer returns a tracer retaining the last cap events (minimum 1).
-func NewTracer(cap int) *Tracer {
-	if cap < 1 {
-		cap = 1
-	}
-	return &Tracer{buf: make([]Event, 0, cap)}
-}
+func NewTracer(cap int) *Tracer { return &Tracer{ring: NewRing[Event](cap)} }
 
 // Cap returns the ring capacity.
-func (t *Tracer) Cap() int { return cap(t.buf) }
+func (t *Tracer) Cap() int { return t.ring.Cap() }
 
 // Total returns the number of events ever recorded (≥ len(Events())).
-func (t *Tracer) Total() uint64 { return t.total }
+func (t *Tracer) Total() uint64 { return t.ring.Total() }
 
 // Dropped returns how many events were overwritten by wraparound.
-func (t *Tracer) Dropped() uint64 { return t.total - uint64(len(t.buf)) }
+func (t *Tracer) Dropped() uint64 { return t.ring.Dropped() }
 
 // CountByKind returns how many events of kind k were ever recorded,
 // including overwritten ones.
@@ -108,32 +101,14 @@ func (t *Tracer) CountByKind(k EventKind) uint64 {
 
 // Record appends one event, overwriting the oldest when full.
 func (t *Tracer) Record(ev Event) {
-	if len(t.buf) < cap(t.buf) {
-		t.buf = append(t.buf, ev)
-	} else {
-		t.buf[t.head] = ev
-		t.head++
-		if t.head == cap(t.buf) {
-			t.head = 0
-		}
-	}
-	t.total++
+	t.ring.Push(ev)
 	if int(ev.Kind) < len(t.byKind) {
 		t.byKind[ev.Kind]++
 	}
 }
 
 // Events returns the retained events oldest-first.
-func (t *Tracer) Events() []Event {
-	out := make([]Event, 0, len(t.buf))
-	if len(t.buf) == cap(t.buf) {
-		out = append(out, t.buf[t.head:]...)
-		out = append(out, t.buf[:t.head]...)
-	} else {
-		out = append(out, t.buf...)
-	}
-	return out
-}
+func (t *Tracer) Events() []Event { return t.ring.Slice() }
 
 // WriteChromeTrace emits the retained events in Chrome trace_event JSON
 // (load via chrome://tracing or https://ui.perfetto.dev). Events are
@@ -146,7 +121,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw,
 		`{"displayTimeUnit":"ns","metadata":{"total_events":%d,"retained_events":%d,"dropped_events":%d},"traceEvents":[`,
-		t.Total(), len(t.buf), t.Dropped()); err != nil {
+		t.Total(), t.ring.Len(), t.Dropped()); err != nil {
 		return err
 	}
 	// Thread-name metadata rows make the per-kind lanes readable.
