@@ -14,7 +14,8 @@
 // Power-of-two set counts index with a mask; others (the paper's 7979-entry
 // case) keep the modulo. Hot policies are dispatched through concrete cores
 // chosen once at construction (see cores.go); the Policy interface remains
-// the extension point and is always used when a telemetry probe is attached.
+// the extension point, used by every policy without a core. Both paths
+// report the same events to a telemetry probe.
 package btb
 
 import (
@@ -194,8 +195,9 @@ type BTB struct {
 	probe  ProbeFunc
 
 	// Devirtualized dispatch: kind and the matching core pointer are chosen
-	// once in NewWithSets. The pointers alias state inside policy, so the
-	// interface path (probe attached, or kindGeneric) stays consistent.
+	// once in NewWithSets. The pointers alias state inside policy, so a
+	// caller that drives the policy through its interface sees the same
+	// state.
 	kind   dispatchKind
 	lru    *LRUCore
 	srrip  *SRRIPCore
@@ -206,10 +208,10 @@ type BTB struct {
 	// req receives a copy of the caller's request before it is handed to
 	// interface methods or probes (keeping the caller's Request on its
 	// stack), setScratch materializes a set for Policy.Victim, and
-	// evScratch holds the displaced entry passed to ProbeEvict.
+	// displaced holds the entry passed to ProbeEvict.
 	req        Request
 	setScratch []Entry
-	evScratch  Entry
+	displaced  Entry
 }
 
 // New builds a BTB with totalEntries/ways sets (truncating division, which
@@ -282,10 +284,16 @@ func (b *BTB) Stats() Stats { return b.stats }
 // state (used at the end of simulation warmup).
 func (b *BTB) ResetStats() { b.stats = Stats{} }
 
-// SetProbe installs (or, with nil, removes) the telemetry probe. While a
-// probe is attached, accesses take the interface dispatch path so the
-// probe sees the canonical event stream.
+// SetProbe installs (or, with nil, removes) the telemetry probe. Both
+// dispatch paths report the same event stream to it.
 func (b *BTB) SetProbe(fn ProbeFunc) { b.probe = fn }
+
+// fire reports one event to the probe. The request goes out as the
+// BTB-owned copy, so the caller's Request never escapes.
+func (b *BTB) fire(kind ProbeKind, s, w int, req *Request, victim *Entry) {
+	b.req = *req
+	b.probe(kind, s, w, &b.req, victim)
+}
 
 // SetIndex maps a branch PC to its set: address modulo set count, per §4.2
 // (a mask when the set count is a power of two).
@@ -442,8 +450,12 @@ func (b *BTB) Lookup(pc uint64) (target uint64, hit bool) {
 // interface path works on a BTB-owned copy, so per-access Requests stay on
 // the caller's stack.
 func (b *BTB) Access(req *Request) Result {
-	if b.probe == nil && b.kind != kindGeneric {
-		return b.accessFast(req)
+	if b.kind != kindGeneric {
+		r := b.accessFast(req)
+		if b.probe != nil {
+			b.fireAccess(req, r)
+		}
+		return r
 	}
 	b.req = *req
 	return b.accessGeneric(&b.req)
@@ -477,8 +489,28 @@ func (b *BTB) accessFast(req *Request) Result {
 	return Result{Evicted: evicted, Way: v}
 }
 
+// fireAccess reports a fast-path demand access to the probe: the events
+// accessGeneric fires, in its order and after the same state changes, read
+// back from the access's Result. A full set is all valid, so a valid
+// Evicted entry means the access replaced one.
+func (b *BTB) fireAccess(req *Request, r Result) {
+	s := b.SetIndex(req.PC)
+	switch {
+	case r.Hit:
+		b.fire(ProbeHit, s, r.Way, req, nil)
+	case r.Bypassed:
+		b.fire(ProbeBypass, s, -1, req, nil)
+	case r.Evicted.Valid:
+		b.displaced = r.Evicted
+		b.fire(ProbeEvict, s, r.Way, req, &b.displaced)
+		b.fire(ProbeInsert, s, r.Way, req, nil)
+	default:
+		b.fire(ProbeInsert, s, r.Way, req, nil)
+	}
+}
+
 // accessGeneric is the interface-dispatch demand access, used for policies
-// without a fast core and whenever a probe is attached.
+// without a fast core.
 func (b *BTB) accessGeneric(req *Request) Result {
 	b.stats.Accesses++
 	s := b.SetIndex(req.PC)
@@ -515,8 +547,8 @@ func (b *BTB) accessGeneric(req *Request) Result {
 	b.fillAt(s, v, req)
 	b.policy.OnInsert(s, v, req)
 	if b.probe != nil {
-		b.evScratch = evicted
-		b.probe(ProbeEvict, s, v, req, &b.evScratch)
+		b.displaced = evicted
+		b.probe(ProbeEvict, s, v, req, &b.displaced)
 		b.probe(ProbeInsert, s, v, req, nil)
 	}
 	return Result{Evicted: evicted, Way: v}
@@ -527,7 +559,7 @@ func (b *BTB) accessGeneric(req *Request) Result {
 // whether a fill happened. Prefetches do not touch demand hit/miss
 // counters; fills are visible via Stats().PrefetchFills.
 func (b *BTB) PrefetchFill(req *Request) bool {
-	if b.probe == nil && b.kind != kindGeneric {
+	if b.kind != kindGeneric {
 		return b.prefetchFast(req)
 	}
 	b.req = *req
@@ -543,16 +575,26 @@ func (b *BTB) prefetchFast(req *Request) bool {
 		b.fillAt(s, i, req)
 		b.fastOnInsert(s, i, req)
 		b.stats.PrefetchFills++
+		if b.probe != nil {
+			b.fire(ProbePrefetchFill, s, i, req, nil)
+		}
 		return true
 	}
 	v := b.fastVictim(s, req)
 	if v == Bypass {
 		return false
 	}
+	if b.probe != nil {
+		b.displaced = b.entryAt(s, v)
+	}
 	b.stats.Evictions++
 	b.fillAt(s, v, req)
 	b.fastOnInsert(s, v, req)
 	b.stats.PrefetchFills++
+	if b.probe != nil {
+		b.fire(ProbeEvict, s, v, req, &b.displaced)
+		b.fire(ProbePrefetchFill, s, v, req, nil)
+	}
 	return true
 }
 
@@ -583,8 +625,8 @@ func (b *BTB) prefetchGeneric(req *Request) bool {
 	b.policy.OnInsert(s, v, req)
 	b.stats.PrefetchFills++
 	if b.probe != nil {
-		b.evScratch = evicted
-		b.probe(ProbeEvict, s, v, req, &b.evScratch)
+		b.displaced = evicted
+		b.probe(ProbeEvict, s, v, req, &b.displaced)
 		b.probe(ProbePrefetchFill, s, v, req, nil)
 	}
 	return true

@@ -8,11 +8,11 @@ package btb
 // type-switches ONCE at construction and thereafter calls the core's methods
 // directly (inlineable, no interface call, no escaping arguments). The
 // policy's interface methods (OnHit/OnInsert/Victim) must delegate to the
-// same core instance, so the interface path — still used when a telemetry
-// probe is attached, and by every policy without a core — observes and
-// mutates identical state. Policies without a fast path (GHRP, Hawkeye,
-// ablations, external experiments) keep working unchanged through the
-// interface; it remains the extension point.
+// same core instance, so a caller that drives the policy through its
+// interface observes and mutates identical state. Both dispatch paths
+// report the same telemetry probe events. Policies without a fast path
+// (GHRP, Hawkeye, ablations, external experiments) keep working unchanged
+// through the interface; it remains the extension point.
 
 // LRUFastPath is implemented by policies whose replacement decisions are
 // exactly LRU over per-way touch timestamps.

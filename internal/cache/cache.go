@@ -226,23 +226,6 @@ func (h *Hierarchy) FetchInstr(addr uint64) (Level, int) {
 	return Memory, h.Lat.Memory
 }
 
-// PrefetchInstr brings a line toward L1I (FDIP) and returns the latency
-// after which the line becomes usable.
-func (h *Hierarchy) PrefetchInstr(addr uint64) int {
-	// Prefetches do not count as demand instruction fetches.
-	if h.L1I.Probe(addr) {
-		return 0
-	}
-	h.L1I.Access(addr) // allocate in L1I
-	if h.L2.Access(addr) {
-		return h.Lat.L2Hit
-	}
-	if h.LLC.Access(addr) {
-		return h.Lat.LLCHit
-	}
-	return h.Lat.Memory
-}
-
 // LoadData performs a data load and returns (level, latency beyond L1D).
 func (h *Hierarchy) LoadData(addr uint64) (Level, int) {
 	if h.L1D.Access(addr) {
@@ -255,13 +238,4 @@ func (h *Hierarchy) LoadData(addr uint64) (Level, int) {
 		return LLC, h.Lat.LLCHit
 	}
 	return Memory, h.Lat.Memory
-}
-
-// L2iMPKI returns L2-level instruction misses per kilo-instruction given
-// the retired instruction count.
-func (h *Hierarchy) L2iMPKI(instructions uint64) float64 {
-	if instructions == 0 {
-		return 0
-	}
-	return float64(h.InstrL2Misses) / float64(instructions) * 1000
 }

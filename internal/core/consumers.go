@@ -67,13 +67,17 @@ func attachConsumers(cfg *Config, res *Result, bank *btbBank, twoLevel *btb.TwoL
 	if len(c.list) == 0 {
 		return nil
 	}
-	bank.main.SetProbe(c.probe)
+	probe := c.probe
+	if len(c.list) == 1 && obs != nil {
+		probe = obs.probe // a lone observer needs no shadow and no fan-out loop
+	}
+	bank.main.SetProbe(probe)
 	if bank.cond != nil {
-		bank.cond.SetProbe(c.probe)
+		bank.cond.SetProbe(probe)
 	}
 	if twoLevel != nil {
-		twoLevel.L1.SetProbe(c.probe)
-		twoLevel.L2.SetProbe(c.probe)
+		twoLevel.L1.SetProbe(probe)
+		twoLevel.L2.SetProbe(probe)
 	}
 	return c
 }

@@ -26,7 +26,9 @@ import (
 	"testing"
 
 	"thermometer/internal/attribution"
+	"thermometer/internal/bpred"
 	"thermometer/internal/btb"
+	"thermometer/internal/cache"
 	"thermometer/internal/core"
 	"thermometer/internal/hintqual"
 	"thermometer/internal/policy"
@@ -178,6 +180,32 @@ func TestGoldenCore(t *testing.T) {
 		{"hintqual", hinted, false, false, true},
 		{"audited", hinted, true, true, true},
 	}
+	// Each of these changes one Config field that feeds the BTB-independent
+	// frontend (direction predictor, RAS/IBTB, I-cache walk, data loads), so
+	// a run that reused another configuration's frontend outcomes on this
+	// same trace would diverge from its golden entry.
+	frontend := func(name string, set func(*core.Config)) variant {
+		return variant{name, func() core.Config {
+			cfg := hinted()
+			set(&cfg)
+			return cfg
+		}, false, false, false}
+	}
+	variants = append(variants,
+		frontend("perfectbp", func(c *core.Config) { c.PerfectBP = true }),
+		frontend("perfecticache", func(c *core.Config) { c.PerfectICache = true }),
+		frontend("nodata", func(c *core.Config) { c.DataStalls = false }),
+		frontend("gshare", func(c *core.Config) {
+			c.NewPredictor = func() bpred.Predictor { return bpred.NewGshare(14) }
+		}),
+		frontend("latencies", func(c *core.Config) {
+			c.Latencies = cache.Latencies{L2Hit: 18, LLCHit: 50, Memory: 300}
+		}),
+		frontend("mlp", func(c *core.Config) { c.MLP = 2 }),
+		frontend("footprint", func(c *core.Config) { c.DataFootprint = 8 << 20 }),
+		frontend("ibtb", func(c *core.Config) { c.IBTBEntries = 512 }),
+		frontend("ras", func(c *core.Config) { c.RASEntries = 8 }),
+	)
 
 	got := make(map[string]coreFingerprint)
 	for _, p := range goldenCorePolicies {

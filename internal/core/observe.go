@@ -12,11 +12,15 @@ import (
 // exists only when cfg.Observer is non-nil; the disabled path in Run is a
 // single nil check per block.
 //
-// All metric handles are resolved by name here, once, so per-event updates
-// on the instrumented path are plain atomic adds.
+// Metric handles are resolved by name here, once. Per-event updates go to
+// run-local plain counters and LocalHistograms, which flush into the
+// registry at every epoch close, every flushInstrs retired instructions
+// and at the end of the run, so a live /metrics reader lags by at most
+// that much.
 type observerState struct {
-	obs *telemetry.Observer
-	res *Result
+	obs    *telemetry.Observer
+	events *telemetry.Tracer // obs.Events
+	res    *Result
 
 	bank     *btbBank
 	twoLevel *btb.TwoLevel
@@ -26,24 +30,40 @@ type observerState struct {
 	cRedirectBTB, cRedirectDir, cRedirectTgt               *telemetry.Counter
 	hEvictionAge, hHitInterval, hFTQLead, hRedirectPenalty *telemetry.Histogram
 
-	// insertCycle / lastHitCycle track per-branch timestamps for the
-	// eviction-age and reuse-interval histograms. Entries are evicted when
-	// the tracked branch leaves the BTB, so both maps stay O(BTB capacity)
-	// regardless of trace length. Only populated while the observer is
-	// attached, so the nil-observer path allocates nothing.
-	insertCycle  map[uint64]uint64
-	lastHitCycle map[uint64]uint64
+	// Staged updates, flushed into the handles above.
+	inserts, evicts, bypasses, prefetches           uint64
+	redirectBTB, redirectDir, redirectTgt           uint64
+	evictionAge, hitInterval, ftqLead, redirectCost telemetry.LocalHistogram
+	nextFlush                                       uint64 // instruction count of the next flush
+
+	// stamps holds per-branch insert and last-hit cycles for the
+	// eviction-age and reuse-interval histograms. A branch's stamps go when
+	// it is evicted, so they stay O(BTB capacity) regardless of trace
+	// length.
+	stamps stamps
 
 	// fan is the run's consumer list; each epoch this sampler closes goes
 	// out over it.
 	fan *consumers
+
+	// final is the end-of-run snapshot, taken once by flushEpoch.
+	final telemetry.Cumulative
 }
+
+// flushInstrs bounds how many retired instructions the registry may lag
+// the run by.
+const flushInstrs = 1 << 16
 
 func newObserverState(obs *telemetry.Observer, res *Result, bank *btbBank, twoLevel *btb.TwoLevel) *observerState {
 	o := &observerState{
-		obs: obs, res: res, bank: bank, twoLevel: twoLevel,
-		insertCycle:  make(map[uint64]uint64),
-		lastHitCycle: make(map[uint64]uint64),
+		obs: obs, events: obs.Events, res: res, bank: bank, twoLevel: twoLevel,
+		nextFlush: flushInstrs,
+	}
+	if bank.cond == nil && twoLevel == nil {
+		o.stamps.ways = bank.main.Ways()
+		o.stamps.bySlot = make([]stamp, bank.main.Capacity())
+	} else {
+		o.stamps.byPC = make(map[uint64]stamp)
 	}
 	if m := obs.Metrics; m != nil {
 		o.cInsert = m.Counter("btb_inserts")
@@ -61,59 +81,57 @@ func newObserverState(obs *telemetry.Observer, res *Result, bank *btbBank, twoLe
 	return o
 }
 
-// OnProbe receives structural BTB events, stamped with the live cycle
-// count.
-func (o *observerState) OnProbe(kind btb.ProbeKind, now uint64, _, _ int, req *btb.Request, victim *btb.Entry, _ bool) {
+// OnProbe receives structural BTB events from the run's fan-out. The cycle
+// it carries is the run's live count, which probe reads directly.
+func (o *observerState) OnProbe(kind btb.ProbeKind, _ uint64, set, way int, req *btb.Request, victim *btb.Entry, _ bool) {
+	o.probe(kind, set, way, req, victim)
+}
+
+// probe handles one structural BTB event, stamped with the live cycle
+// count. It is a btb.ProbeFunc, so a lone observer is the BTBs' probe
+// itself.
+func (o *observerState) probe(kind btb.ProbeKind, set, way int, req *btb.Request, victim *btb.Entry) {
+	now := o.res.Cycles
 	switch kind {
 	case btb.ProbeHit:
 		if o.hHitInterval != nil {
-			if last, ok := o.lastHitCycle[req.PC]; ok && now >= last {
-				o.hHitInterval.Observe(now - last)
+			st := o.stamps.get(set, way, req.PC)
+			if st.hit != 0 && now+1 >= st.hit {
+				o.hitInterval.Observe(now + 1 - st.hit)
 			}
-			o.lastHitCycle[req.PC] = now
+			st.hit = now + 1
+			o.stamps.put(set, way, req.PC, st)
 		}
 		return // hits are histogram-only: too frequent for the event trace
 	case btb.ProbeInsert:
-		if o.cInsert != nil {
-			o.cInsert.Inc()
-		}
-		o.insertCycle[req.PC] = now
+		o.inserts++
+		o.stamps.setInsert(set, way, req.PC, now)
 		o.event(telemetry.EvInsert, now, req.PC, req.Target, req.Temperature)
 	case btb.ProbeEvict:
-		if o.cEvict != nil {
-			o.cEvict.Inc()
+		o.evicts++
+		// The victim is gone: drop its stamps, so only resident branches
+		// have any. (A re-inserted branch restarts its hit-interval
+		// series, which is the residency-local measurement the histogram
+		// wants anyway.)
+		if st := o.stamps.drop(set, way, victim.PC); st.ins != 0 && o.hEvictionAge != nil && now+1 >= st.ins {
+			o.evictionAge.Observe(now + 1 - st.ins)
 		}
-		if ins, ok := o.insertCycle[victim.PC]; ok {
-			if o.hEvictionAge != nil && now >= ins {
-				o.hEvictionAge.Observe(now - ins)
-			}
-			delete(o.insertCycle, victim.PC)
-		}
-		// The victim is gone: drop its hit stamp too, so the map tracks
-		// only resident branches. (A re-inserted branch restarts its
-		// hit-interval series, which is the residency-local measurement
-		// the histogram wants anyway.)
-		delete(o.lastHitCycle, victim.PC)
 		o.event(telemetry.EvEvict, now, req.PC, victim.PC, victim.Temperature)
 	case btb.ProbeBypass:
-		if o.cBypass != nil {
-			o.cBypass.Inc()
-		}
+		o.bypasses++
 		o.event(telemetry.EvBypass, now, req.PC, req.Target, req.Temperature)
 	case btb.ProbePrefetchFill:
-		if o.cPrefetch != nil {
-			o.cPrefetch.Inc()
-		}
-		o.insertCycle[req.PC] = now
+		o.prefetches++
+		o.stamps.setInsert(set, way, req.PC, now)
 		o.event(telemetry.EvPrefetchFill, now, req.PC, req.Target, req.Temperature)
 	}
 }
 
 func (o *observerState) event(kind telemetry.EventKind, cycle, pc, arg uint64, temp uint8) {
-	if o.obs.Events == nil {
+	if o.events == nil {
 		return
 	}
-	o.obs.Events.Record(telemetry.Event{Cycle: cycle, PC: pc, Arg: arg, Kind: kind, Temp: temp})
+	o.events.Record(telemetry.Event{Cycle: cycle, PC: pc, Arg: arg, Kind: kind, Temp: temp})
 }
 
 // onRedirect records one frontend resteer with its attributed cause.
@@ -122,48 +140,66 @@ func (o *observerState) onRedirect(btbMiss, dirMiss, targetMiss bool, pc uint64,
 	switch {
 	case btbMiss:
 		cause = telemetry.RedirectBTBMiss
-		if o.cRedirectBTB != nil {
-			o.cRedirectBTB.Inc()
-		}
+		o.redirectBTB++
 	case dirMiss:
 		cause = telemetry.RedirectDirMispredict
-		if o.cRedirectDir != nil {
-			o.cRedirectDir.Inc()
-		}
+		o.redirectDir++
 	default:
 		cause = telemetry.RedirectTargetMispredict
-		if o.cRedirectTgt != nil {
-			o.cRedirectTgt.Inc()
-		}
+		o.redirectTgt++
 	}
-	if o.hRedirectPenalty != nil {
-		o.hRedirectPenalty.Observe(uint64(penalty))
-	}
+	o.redirectCost.Observe(uint64(penalty))
 	o.event(telemetry.EvRedirect, o.res.Cycles, pc, cause, 0)
 }
 
 // afterBlock runs once per simulated block: it samples the FTQ lead and
 // closes an epoch when the instruction count crosses a boundary. The
-// no-boundary case is one histogram add plus one compare.
+// no-boundary case is one staged histogram add and two compares.
 func (o *observerState) afterBlock(leadCycles uint64) {
-	if o.hFTQLead != nil {
-		o.hFTQLead.Observe(leadCycles)
-	}
+	o.ftqLead.Observe(leadCycles)
 	if s := o.obs.Epochs; s != nil && s.Due(o.res.Instructions) {
 		cum := o.cumulative()
 		s.Tick(&cum)
+		o.flush()
 		o.fan.epoch()
+	}
+	if o.res.Instructions >= o.nextFlush {
+		o.flush()
 	}
 }
 
-// flushEpoch closes the final partial epoch and reports whether one closed.
-func (o *observerState) flushEpoch() bool {
-	s := o.obs.Epochs
-	if s == nil {
-		return false
+// flush publishes the staged updates to the registry.
+func (o *observerState) flush() {
+	o.nextFlush = o.res.Instructions + flushInstrs
+	if o.obs.Metrics == nil {
+		return
 	}
-	cum := o.cumulative()
-	return s.Finish(&cum)
+	add := func(c *telemetry.Counter, n *uint64) {
+		c.Add(*n)
+		*n = 0
+	}
+	add(o.cInsert, &o.inserts)
+	add(o.cEvict, &o.evicts)
+	add(o.cBypass, &o.bypasses)
+	add(o.cPrefetch, &o.prefetches)
+	add(o.cRedirectBTB, &o.redirectBTB)
+	add(o.cRedirectDir, &o.redirectDir)
+	add(o.cRedirectTgt, &o.redirectTgt)
+	o.evictionAge.FlushTo(o.hEvictionAge)
+	o.hitInterval.FlushTo(o.hHitInterval)
+	o.ftqLead.FlushTo(o.hFTQLead)
+	o.redirectCost.FlushTo(o.hRedirectPenalty)
+}
+
+// flushEpoch publishes the staged updates, takes the end-of-run snapshot,
+// closes the final partial epoch and reports whether one closed.
+func (o *observerState) flushEpoch() bool {
+	o.flush()
+	o.final = o.cumulative()
+	if s := o.obs.Epochs; s != nil {
+		return s.Finish(&o.final)
+	}
+	return false
 }
 
 // cumulative assembles the sampler's snapshot, including the O(capacity)
@@ -212,28 +248,27 @@ func (o *observerState) cumulative() telemetry.Cumulative {
 }
 
 // OnWarmupReset realigns telemetry with the statistics restart at the end
-// of warmup: the epoch series and cycle-stamp maps restart so the recorded
+// of warmup: the epoch series and branch stamps restart so the recorded
 // time series covers exactly the measured region.
 func (o *observerState) OnWarmupReset() {
 	if s := o.obs.Epochs; s != nil {
 		s.Restart()
 	}
-	clear(o.insertCycle)
-	clear(o.lastHitCycle)
+	o.flush() // the instruction count restarts too
+	o.stamps.reset()
 }
 
 // OnEpoch is a no-op: the observer's own sampler closed the epoch.
 func (o *observerState) OnEpoch(uint64, *btb.BTB) {}
 
 // OnFinish publishes end-of-run gauges and per-policy decision counters
-// (the final partial epoch was already flushed by flushEpoch).
+// from flushEpoch's snapshot (which also flushed the final partial epoch).
 func (o *observerState) OnFinish(_ uint64, m *telemetry.Registry) {
 	if m == nil {
 		return
 	}
-	cum := o.cumulative()
-	m.Gauge("btb_valid_entries").Set(cum.BTBValid)
-	m.Gauge("btb_capacity").Set(cum.BTBCapacity)
+	m.Gauge("btb_valid_entries").Set(o.final.BTBValid)
+	m.Gauge("btb_capacity").Set(o.final.BTBCapacity)
 	m.SetCounter("instructions", o.res.Instructions)
 	m.SetCounter("cycles", o.res.Cycles)
 	if ev := o.obs.Events; ev != nil {
@@ -247,4 +282,60 @@ func (o *observerState) OnFinish(_ uint64, m *telemetry.Registry) {
 			m.SetCounter("policy_"+name, tc[name])
 		}
 	}
+}
+
+// stamps maps each resident branch to its insert and last-hit cycles. A
+// run with one BTB keys them by the branch's slot: a branch is inserted
+// only on a miss, so it occupies at most one slot, and every slot it
+// leaves reports ProbeEvict. A run with several BTBs keys them by PC, since
+// a two-level BTB can hold one PC in both levels and both levels' events
+// then share the PC's stamps.
+type stamps struct {
+	ways   int
+	bySlot []stamp          // one BTB: set*ways+way
+	byPC   map[uint64]stamp // several BTBs
+}
+
+// stamp holds one branch's insert and last-hit cycles plus one, so zero
+// means "none".
+type stamp struct{ ins, hit uint64 }
+
+// get returns the stamps of pc, resident at (set, way).
+func (s *stamps) get(set, way int, pc uint64) stamp {
+	if s.bySlot != nil {
+		return s.bySlot[set*s.ways+way]
+	}
+	return s.byPC[pc]
+}
+
+func (s *stamps) put(set, way int, pc uint64, st stamp) {
+	if s.bySlot != nil {
+		s.bySlot[set*s.ways+way] = st
+		return
+	}
+	s.byPC[pc] = st
+}
+
+func (s *stamps) setInsert(set, way int, pc, now uint64) {
+	st := s.get(set, way, pc)
+	st.ins = now + 1
+	s.put(set, way, pc, st)
+}
+
+// drop forgets the stamps of pc, evicted from (set, way), and returns them.
+func (s *stamps) drop(set, way int, pc uint64) stamp {
+	if s.bySlot != nil {
+		st := &s.bySlot[set*s.ways+way]
+		old := *st
+		*st = stamp{}
+		return old
+	}
+	old := s.byPC[pc]
+	delete(s.byPC, pc)
+	return old
+}
+
+func (s *stamps) reset() {
+	clear(s.bySlot)
+	clear(s.byPC)
 }

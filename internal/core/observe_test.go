@@ -151,3 +151,49 @@ func BenchmarkObserverEnabled(b *testing.B) {
 		Run(tr, cfg)
 	}
 }
+
+// TestSlotStampsMatchPCStamps drives one BTB through random demand
+// accesses and prefetch fills, with a stamp reset midway as at the end of
+// warmup, under two observers: one keeps its stamps per slot (how a run
+// with one BTB keeps them), the other per PC. Their eviction-age and
+// hit-interval histograms must be identical, on both the fast and the
+// interface dispatch path.
+func TestSlotStampsMatchPCStamps(t *testing.T) {
+	for _, pol := range []btb.Policy{policy.NewLRU(), policy.NewGHRP()} {
+		b := btb.New(64, 4, pol)
+		res := &Result{}
+		bank := &btbBank{main: b}
+		bySlot := newObserverState(telemetry.New(telemetry.Options{}), res, bank, nil)
+		byPC := newObserverState(telemetry.New(telemetry.Options{}), res, bank, nil)
+		if bySlot.stamps.bySlot == nil {
+			t.Fatal("a run with one BTB should keep its stamps per slot")
+		}
+		byPC.stamps = stamps{byPC: make(map[uint64]stamp)}
+		b.SetProbe(func(kind btb.ProbeKind, set, way int, req *btb.Request, victim *btb.Entry) {
+			bySlot.probe(kind, set, way, req, victim)
+			byPC.probe(kind, set, way, req, victim)
+		})
+		x := uint64(1)
+		for step := 0; step < 50000; step++ {
+			x = x*6364136223846793005 + 1442695040888963407
+			req := btb.Request{PC: x >> 40 % 300, Target: x >> 20}
+			res.Cycles += x >> 60
+			if x>>58&3 == 0 {
+				b.PrefetchFill(&req)
+			} else {
+				b.Access(&req)
+			}
+			if step == 20000 {
+				bySlot.stamps.reset()
+				byPC.stamps.reset()
+			}
+		}
+		var empty telemetry.LocalHistogram
+		if bySlot.evictionAge == empty || bySlot.hitInterval == empty {
+			t.Fatalf("%s: no evictions or repeat hits observed", pol.Name())
+		}
+		if bySlot.evictionAge != byPC.evictionAge || bySlot.hitInterval != byPC.hitInterval {
+			t.Fatalf("%s: slot-keyed and PC-keyed stamps disagree", pol.Name())
+		}
+	}
+}

@@ -1,13 +1,11 @@
 package core
 
 import (
-	"thermometer/internal/bpred"
 	"thermometer/internal/btb"
 	"thermometer/internal/cache"
 	"thermometer/internal/policy"
 	"thermometer/internal/profile"
 	"thermometer/internal/trace"
-	"thermometer/internal/xrand"
 )
 
 // Result reports one timing simulation.
@@ -143,27 +141,27 @@ func (r *fillRing) pop() pendingFill {
 	return pf
 }
 
-// sim holds the complete state of one timing simulation. Loop-invariant
-// configuration (hint table, prefetcher, penalties, perfect-structure
-// flags) is hoisted into fields once at setup; the record loop comes in
-// specialized variants (observed/unobserved × prefetch/no-prefetch) so the
-// steady-state path checks none of it per access.
+// sim holds the policy-side state of one timing simulation: the BTB, the
+// prefetcher hooks, the probe consumers and the FDIP lead/clock arithmetic.
+// The BTB-independent outcomes come precomputed in fe (see frontend.go).
+// Loop-invariant configuration (hint table, prefetcher, penalties,
+// perfect-structure flags) is hoisted into fields once at setup; the record
+// loop comes in specialized variants (observed/unobserved ×
+// prefetch/no-prefetch) so the steady-state path checks none of it per
+// access.
 type sim struct {
 	res *Result
 
 	accesses []trace.Access
 	meta     *TraceMeta
 	hints    *profile.HintTable
+	fe       *frontStream
+	spillIdx int // next unread fe.spill entry
 
 	bank     *btbBank
 	twoLevel *btb.TwoLevel
-	ibtb     *btb.IBTB
-	ras      *btb.RAS
-	hier     *cache.Hierarchy
-	pred     bpred.Predictor // nil under PerfectBP
 	obs      *observerState
 	fan      *consumers // nil when no observer or recorder is attached
-	loadRNG  *xrand.RNG
 
 	prefetcher Prefetcher
 	insertFn   InsertFunc // bound once; handed to the prefetcher per event
@@ -185,12 +183,11 @@ type sim struct {
 
 	perfectBTB    bool
 	perfectICache bool
-	dataStalls    bool
 	execPenalty   int
 	decodePenalty int
 	prefetchDelay int
-	mlp           int
-	dataFootprint uint64
+	// lineLat is each cache.Level's instruction-fetch latency.
+	lineLat [4]uint64
 }
 
 // Run simulates the trace under the configuration and returns the result.
@@ -234,28 +231,15 @@ func Run(tr *trace.Trace, cfg Config) *Result {
 			tl.L2Entries, tl.L2Ways, newPolicy(), tl.BubbleCycles)
 	}
 
-	var pred bpred.Predictor
-	if !cfg.PerfectBP {
-		if cfg.NewPredictor != nil {
-			pred = cfg.NewPredictor()
-		} else {
-			pred = bpred.NewTAGE()
-		}
-	}
-
 	s := &sim{
 		res:      res,
 		accesses: accesses,
 		meta:     meta,
 		hints:    cfg.Hints,
+		fe:       frontendFor(tr, &cfg),
 
 		bank:     bank,
 		twoLevel: twoLevel,
-		ibtb:     btb.NewIBTB(cfg.IBTBEntries),
-		ras:      btb.NewRAS(cfg.RASEntries),
-		hier:     cache.NewHierarchy(),
-		pred:     pred,
-		loadRNG:  xrand.New(0xDA7A ^ uint64(len(tr.Records))),
 
 		prefetcher: cfg.Prefetcher,
 
@@ -277,14 +261,15 @@ func Run(tr *trace.Trace, cfg Config) *Result {
 
 		perfectBTB:    cfg.PerfectBTB,
 		perfectICache: cfg.PerfectICache,
-		dataStalls:    cfg.DataStalls,
 		execPenalty:   cfg.ExecRedirectPenalty,
 		decodePenalty: cfg.DecodeRedirectPenalty,
 		prefetchDelay: cfg.PrefetchDelay,
-		mlp:           cfg.MLP,
-		dataFootprint: cfg.DataFootprint,
+		lineLat: [4]uint64{
+			cache.L2:     uint64(cfg.Latencies.L2Hit),
+			cache.LLC:    uint64(cfg.Latencies.LLCHit),
+			cache.Memory: uint64(cfg.Latencies.Memory),
+		},
 	}
-	s.hier.Lat = cfg.Latencies
 	if s.prefetcher != nil {
 		// Bind the insert callback once: fills are delayed by PrefetchDelay
 		// demand accesses to model the fill pipeline relative to the
@@ -301,19 +286,22 @@ func Run(tr *trace.Trace, cfg Config) *Result {
 	}
 	s.fan = attachConsumers(&cfg, res, bank, twoLevel, s.obs)
 
-	recs := tr.Records
+	recs, fe := tr.Records, s.fe.recs
 	warmupEnd := int(cfg.WarmupFrac * float64(len(recs)))
+	measuredFrom := 0
 	if warmupEnd >= 0 && warmupEnd < len(recs) {
 		// Equivalent to resetting when the record index reaches warmupEnd
 		// (including warmupEnd == 0, where the reset fires before the
 		// first record): simulate the warmup prefix, reset statistics with
 		// all structures still trained, then simulate the rest.
-		s.runRecords(recs[:warmupEnd])
+		s.runRecords(recs[:warmupEnd], fe[:warmupEnd])
 		s.warmupReset()
-		s.runRecords(recs[warmupEnd:])
+		s.runRecords(recs[warmupEnd:], fe[warmupEnd:])
+		measuredFrom = warmupEnd
 	} else {
-		s.runRecords(recs)
+		s.runRecords(recs, fe)
 	}
+	s.fe.tally(res, measuredFrom)
 
 	res.BTB = bank.stats()
 	if twoLevel != nil {
@@ -322,10 +310,9 @@ func Run(tr *trace.Trace, cfg Config) *Result {
 		res.BTB.Hits = l1.Hits + twoLevel.Promotions
 		res.BTB.Misses = twoLevel.TrueMisses()
 	}
-	res.L2iMPKI = s.hier.L2iMPKI(res.Instructions)
-	res.InstrL1Misses = s.hier.InstrL1Misses
-	res.InstrL2Misses = s.hier.InstrL2Misses
-	res.InstrLLCMisses = s.hier.InstrLLCMisses
+	if res.Instructions != 0 {
+		res.L2iMPKI = float64(res.InstrL2Misses) / float64(res.Instructions) * 1000
+	}
 	if s.fan != nil {
 		s.fan.finish()
 	}
@@ -336,26 +323,27 @@ func Run(tr *trace.Trace, cfg Config) *Result {
 // instrumentation. The split hoists the observer and prefetcher checks out
 // of the per-record path entirely: the fast variant's body mentions
 // neither.
-func (s *sim) runRecords(recs []trace.Record) {
+func (s *sim) runRecords(recs []trace.Record, fe []frontRec) {
+	fe = fe[:len(recs)]
 	switch {
 	case s.obs == nil && s.prefetcher == nil:
-		s.loopFast(recs)
+		s.loopFast(recs, fe)
 	case s.obs == nil:
-		s.loopPrefetch(recs)
+		s.loopPrefetch(recs, fe)
 	case s.prefetcher == nil:
-		s.loopObserved(recs)
+		s.loopObserved(recs, fe)
 	default:
-		s.loopFull(recs)
+		s.loopFull(recs, fe)
 	}
 }
 
 // warmupReset ends warmup: all structures stay trained, statistics and the
-// clock restart.
+// clock restart. The frontend's counters are tallied from the stream after
+// the run, over the measured records only.
 func (s *sim) warmupReset() {
 	res := s.res
 	saved := *res
 	*res = Result{Name: saved.Name, Policy: saved.Policy}
-	s.hier.InstrFetches, s.hier.InstrL1Misses, s.hier.InstrL2Misses, s.hier.InstrLLCMisses = 0, 0, 0, 0
 	s.bank.main.ResetStats()
 	if s.bank.cond != nil {
 		s.bank.cond.ResetStats()
@@ -365,52 +353,9 @@ func (s *sim) warmupReset() {
 		s.twoLevel.L2.ResetStats()
 		s.twoLevel.Promotions, s.twoLevel.Demotions, s.twoLevel.L2Bubbles = 0, 0, 0
 	}
-	s.ras.Pushes, s.ras.Pops, s.ras.Overflows, s.ras.Underflows = 0, 0, 0, 0
-	s.ibtb.Hits, s.ibtb.Misses = 0, 0
 	if s.fan != nil {
 		s.fan.warmupReset()
 	}
-}
-
-// predictDirection runs the direction predictor for conditional branches
-// and reports a mispredict. s.pred is nil under PerfectBP.
-func (s *sim) predictDirection(r *trace.Record) bool {
-	if !r.Type.IsConditional() || s.pred == nil {
-		return false
-	}
-	s.res.DirLookups++
-	dirMiss := s.pred.Predict(r.PC) != r.Taken
-	if dirMiss {
-		s.res.DirMispredicts++
-	}
-	s.pred.Update(r.PC, r.Taken)
-	return dirMiss
-}
-
-// targetStructures runs the RAS and IBTB for a taken branch and reports a
-// target mispredict.
-func (s *sim) targetStructures(r *trace.Record) bool {
-	targetMiss := false
-	switch r.Type {
-	case trace.Call:
-		s.ras.Push(r.PC + 5)
-	case trace.IndirectCall:
-		s.ras.Push(r.PC + 6)
-	case trace.Return:
-		if addr, ok := s.ras.Pop(); !ok || addr != r.Target {
-			targetMiss = true
-			s.res.RASMispredicts++
-		}
-	default:
-		// Direct jumps and conditional branches don't touch the RAS.
-	}
-	if r.Type == trace.IndirectJump || r.Type == trace.IndirectCall {
-		if !s.ibtb.Update(r.PC, r.Target) {
-			targetMiss = true
-			s.res.IBTBMispredicts++
-		}
-	}
-	return targetMiss
 }
 
 // btbAccess performs the demand BTB access for a taken branch through
@@ -500,62 +445,38 @@ func (s *sim) applyPenalty(penalty int) {
 	s.leadH = 2 * uint64(penalty)
 }
 
-// icacheWalk fetches the instruction lines of the block following this
-// branch and returns the fetch stall not hidden by FDIP lead. prefetching
-// selects the variant that feeds line fills to the BTB prefetcher.
-func (s *sim) icacheWalk(r *trace.Record, n uint64, prefetching bool) uint64 {
-	start := r.PC + 4
-	if r.Taken {
-		start = r.Target
+// icacheStall returns the block's fetch stall not hidden by FDIP lead: the
+// latency of the worst level its lines reached, less the lead.
+func (s *sim) icacheStall(f *frontRec) uint64 {
+	lvl := f.level()
+	lead := s.leadH / 2
+	if s.lineLat[lvl] <= lead {
+		return 0
 	}
-	span := 4 * n
-	first, last := start>>6, (start+span)>>6
-	if last-first > 7 {
-		last = first + 7
-	}
-	var worst int
-	worstLvl := cache.L1
-	for blk := first; blk <= last; blk++ {
-		lvl, lat := s.hier.FetchInstr(blk << 6)
-		if prefetching {
-			s.prefetcher.OnLineFill(blk, s.insertFn)
-		}
-		if lat > worst {
-			worst = lat
-			worstLvl = lvl
-		}
-	}
-	var stall uint64
-	if lead := s.leadH / 2; uint64(worst) > lead {
-		stall = uint64(worst) - lead
-		s.res.ICacheStall += stall
-		s.res.ICacheStallByLevel[worstLvl] += stall
-	}
+	stall := s.lineLat[lvl] - lead
+	s.res.ICacheStall += stall
+	s.res.ICacheStallByLevel[lvl] += stall
 	return stall
 }
 
-// dataStallFor models backend data stalls for a block of n instructions.
-func (s *sim) dataStallFor(n uint64) uint64 {
-	var dataStall uint64
-	loads := int(n) / 6
-	for j := 0; j < loads; j++ {
-		roll := s.loadRNG.Float64()
-		var addr uint64
-		switch {
-		case roll < 0.85: // stack/top-of-heap working set
-			addr = s.loadRNG.Uint64n(16 << 10)
-		case roll < 0.99: // mid-size structures
-			addr = (1 << 20) + s.loadRNG.Uint64n(128<<10)
-		default: // big-data footprint
-			addr = (8 << 20) + s.loadRNG.Uint64n(s.dataFootprint)
-		}
-		_, lat := s.hier.LoadData(addr)
-		if lat > 0 && s.mlp > 0 {
-			dataStall += uint64(lat / s.mlp)
-		}
+// lineFills hands the block's instruction lines to the BTB prefetcher, as
+// fetch brings them in.
+func (s *sim) lineFills(r *trace.Record, n uint64) {
+	first, last := blockLines(r, n)
+	for blk := first; blk <= last; blk++ {
+		s.prefetcher.OnLineFill(blk, s.insertFn)
 	}
-	s.res.DataStall += dataStall
-	return dataStall
+}
+
+// dataStall returns the block's backend data-stall cycles.
+func (s *sim) dataStall(f *frontRec) uint64 {
+	d := uint64(f.dataStall)
+	if d == frontSpill {
+		d = s.fe.spill[s.spillIdx]
+		s.spillIdx++
+	}
+	s.res.DataStall += d
+	return d
 }
 
 // advanceClock issues the block and rolls the FDIP lead forward.
@@ -596,19 +517,15 @@ func (s *sim) leadCapH() uint64 {
 // loopFast is the unobserved, non-prefetching record loop — the steady
 // state of every sweep and benchmark. Its body touches no optional
 // feature: no observer, no prefetcher, no pending-fill queue.
-func (s *sim) loopFast(recs []trace.Record) {
+func (s *sim) loopFast(recs []trace.Record, fe []frontRec) {
 	for i := range recs {
-		r := &recs[i]
+		r, f := &recs[i], &fe[i]
 		n := uint64(r.BlockLen) + 1 // block + the branch itself
 		s.res.Instructions += n
 
-		dirMiss := s.predictDirection(r)
-
 		btbMiss := false
-		targetMiss := false
 		var btbBubble uint64
 		if r.Taken {
-			targetMiss = s.targetStructures(r)
 			if !s.perfectBTB {
 				hit, bubble := s.btbAccess(r)
 				btbMiss = !hit
@@ -617,40 +534,27 @@ func (s *sim) loopFast(recs []trace.Record) {
 			s.curIdx++
 		}
 
-		penalty := s.redirectPenalty(r, dirMiss, btbMiss, targetMiss)
+		penalty := s.redirectPenalty(r, f.flags&frontDirMiss != 0, btbMiss, f.flags&frontTargetMiss != 0)
 		if penalty > 0 {
 			s.applyPenalty(penalty)
 		}
 
-		var stall uint64
-		if !s.perfectICache {
-			stall = s.icacheWalk(r, n, false)
-		}
-
-		var dataStall uint64
-		if s.dataStalls {
-			dataStall = s.dataStallFor(n)
-		}
-
-		s.advanceClock(n, penalty, stall, dataStall, btbBubble)
+		stall := s.icacheStall(f)
+		s.advanceClock(n, penalty, stall, s.dataStall(f), btbBubble)
 	}
 }
 
 // loopPrefetch adds the BTB prefetcher hooks (fill draining, access
 // feedback, line-fill taps) to the fast loop.
-func (s *sim) loopPrefetch(recs []trace.Record) {
+func (s *sim) loopPrefetch(recs []trace.Record, fe []frontRec) {
 	for i := range recs {
-		r := &recs[i]
+		r, f := &recs[i], &fe[i]
 		n := uint64(r.BlockLen) + 1
 		s.res.Instructions += n
 
-		dirMiss := s.predictDirection(r)
-
 		btbMiss := false
-		targetMiss := false
 		var btbBubble uint64
 		if r.Taken {
-			targetMiss = s.targetStructures(r)
 			if !s.perfectBTB {
 				s.drainFills()
 				hit, bubble := s.btbAccess(r)
@@ -661,44 +565,34 @@ func (s *sim) loopPrefetch(recs []trace.Record) {
 			s.curIdx++
 		}
 
-		penalty := s.redirectPenalty(r, dirMiss, btbMiss, targetMiss)
+		penalty := s.redirectPenalty(r, f.flags&frontDirMiss != 0, btbMiss, f.flags&frontTargetMiss != 0)
 		if penalty > 0 {
 			s.applyPenalty(penalty)
 		}
 
-		var stall uint64
 		if !s.perfectICache {
-			stall = s.icacheWalk(r, n, true)
+			s.lineFills(r, n)
 		}
-
-		var dataStall uint64
-		if s.dataStalls {
-			dataStall = s.dataStallFor(n)
-		}
-
-		s.advanceClock(n, penalty, stall, dataStall, btbBubble)
+		stall := s.icacheStall(f)
+		s.advanceClock(n, penalty, stall, s.dataStall(f), btbBubble)
 	}
 }
 
 // loopObserved adds the telemetry observer hooks to the fast loop.
-func (s *sim) loopObserved(recs []trace.Record) {
+func (s *sim) loopObserved(recs []trace.Record, fe []frontRec) {
 	// runRecords only selects this variant with an observer attached; the
 	// loop body relies on that (one check here, not one per record).
 	if s.obs == nil {
 		panic("core: loopObserved selected without an observer")
 	}
 	for i := range recs {
-		r := &recs[i]
+		r, f := &recs[i], &fe[i]
 		n := uint64(r.BlockLen) + 1
 		s.res.Instructions += n
 
-		dirMiss := s.predictDirection(r)
-
 		btbMiss := false
-		targetMiss := false
 		var btbBubble uint64
 		if r.Taken {
-			targetMiss = s.targetStructures(r)
 			if !s.perfectBTB {
 				hit, bubble := s.btbAccess(r)
 				btbMiss = !hit
@@ -707,47 +601,35 @@ func (s *sim) loopObserved(recs []trace.Record) {
 			s.curIdx++
 		}
 
+		dirMiss, targetMiss := f.flags&frontDirMiss != 0, f.flags&frontTargetMiss != 0
 		penalty := s.redirectPenalty(r, dirMiss, btbMiss, targetMiss)
 		if penalty > 0 {
 			s.obs.onRedirect(btbMiss, dirMiss, targetMiss, r.PC, penalty)
 			s.applyPenalty(penalty)
 		}
 
-		var stall uint64
-		if !s.perfectICache {
-			stall = s.icacheWalk(r, n, false)
-		}
-
-		var dataStall uint64
-		if s.dataStalls {
-			dataStall = s.dataStallFor(n)
-		}
-
-		s.advanceClock(n, penalty, stall, dataStall, btbBubble)
+		stall := s.icacheStall(f)
+		s.advanceClock(n, penalty, stall, s.dataStall(f), btbBubble)
 		s.obs.afterBlock(s.leadH / 2)
 	}
 }
 
 // loopFull runs with both the prefetcher and the observer attached, so it
 // combines loopPrefetch's fill hooks with loopObserved's telemetry hooks.
-func (s *sim) loopFull(recs []trace.Record) {
+func (s *sim) loopFull(recs []trace.Record, fe []frontRec) {
 	// runRecords only selects this variant with an observer attached; the
 	// loop body relies on that (one check here, not one per record).
 	if s.obs == nil {
 		panic("core: loopFull selected without an observer")
 	}
 	for i := range recs {
-		r := &recs[i]
+		r, f := &recs[i], &fe[i]
 		n := uint64(r.BlockLen) + 1
 		s.res.Instructions += n
 
-		dirMiss := s.predictDirection(r)
-
 		btbMiss := false
-		targetMiss := false
 		var btbBubble uint64
 		if r.Taken {
-			targetMiss = s.targetStructures(r)
 			if !s.perfectBTB {
 				s.drainFills()
 				hit, bubble := s.btbAccess(r)
@@ -758,23 +640,18 @@ func (s *sim) loopFull(recs []trace.Record) {
 			s.curIdx++
 		}
 
+		dirMiss, targetMiss := f.flags&frontDirMiss != 0, f.flags&frontTargetMiss != 0
 		penalty := s.redirectPenalty(r, dirMiss, btbMiss, targetMiss)
 		if penalty > 0 {
 			s.obs.onRedirect(btbMiss, dirMiss, targetMiss, r.PC, penalty)
 			s.applyPenalty(penalty)
 		}
 
-		var stall uint64
 		if !s.perfectICache {
-			stall = s.icacheWalk(r, n, true)
+			s.lineFills(r, n)
 		}
-
-		var dataStall uint64
-		if s.dataStalls {
-			dataStall = s.dataStallFor(n)
-		}
-
-		s.advanceClock(n, penalty, stall, dataStall, btbBubble)
+		stall := s.icacheStall(f)
+		s.advanceClock(n, penalty, stall, s.dataStall(f), btbBubble)
 		s.obs.afterBlock(s.leadH / 2)
 	}
 }

@@ -51,12 +51,52 @@ func (h *Histogram) Observe(v uint64) {
 	h.buckets[bits.Len64(v)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
+	h.raiseMax(v)
+}
+
+// raiseMax lifts the recorded maximum to v if v is larger.
+func (h *Histogram) raiseMax(v uint64) {
 	for {
 		old := h.max.Load()
 		if v <= old || h.max.CompareAndSwap(old, v) {
 			return
 		}
 	}
+}
+
+// LocalHistogram stages observations for a Histogram in plain fields, so
+// a single goroutine's hot path pays no atomic operations; FlushTo
+// publishes them. A flushed Histogram holds exactly what observing each
+// value directly would have left in it. The zero value is ready to use;
+// a LocalHistogram is not safe for concurrent use.
+type LocalHistogram struct {
+	buckets  [histBuckets]uint64
+	sum, max uint64
+}
+
+// Observe stages one value.
+func (l *LocalHistogram) Observe(v uint64) {
+	l.buckets[bits.Len64(v)]++
+	l.sum += v
+	l.max = max(l.max, v)
+}
+
+// FlushTo adds the staged observations to h and empties l.
+func (l *LocalHistogram) FlushTo(h *Histogram) {
+	var count uint64
+	for i, n := range l.buckets {
+		if n != 0 {
+			h.buckets[i].Add(n)
+			count += n
+		}
+	}
+	if count == 0 {
+		return
+	}
+	h.count.Add(count)
+	h.sum.Add(l.sum)
+	h.raiseMax(l.max)
+	*l = LocalHistogram{}
 }
 
 // Count returns the number of observations.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -332,5 +333,66 @@ func TestObserverHTTP(t *testing.T) {
 		}
 	} else {
 		t.Fatal(err)
+	}
+}
+
+// TestRingWraparound checks the ring's order and counts while it fills,
+// exactly at capacity, and after it has wrapped several times.
+func TestRingWraparound(t *testing.T) {
+	const capacity = 37
+	r := NewRing[int](capacity)
+	check := func(pushed int) {
+		t.Helper()
+		first := max(0, pushed-capacity)
+		got := r.Slice()
+		if len(got) != pushed-first || r.Len() != len(got) {
+			t.Fatalf("after %d pushes: %d retained, Len %d, want %d", pushed, len(got), r.Len(), pushed-first)
+		}
+		for i, v := range got {
+			if v != first+i {
+				t.Fatalf("after %d pushes: element %d is %d, want %d", pushed, i, v, first+i)
+			}
+		}
+		if r.Total() != uint64(pushed) || r.Dropped() != uint64(first) || r.Cap() != capacity {
+			t.Fatalf("after %d pushes: total %d dropped %d cap %d", pushed, r.Total(), r.Dropped(), r.Cap())
+		}
+	}
+	pushed := 0
+	for _, upTo := range []int{1, capacity - 1, capacity, capacity + 1, 3 * capacity, 3*capacity + capacity/2} {
+		for ; pushed < upTo; pushed++ {
+			r.Push(pushed)
+		}
+		check(pushed)
+	}
+	r.Reset()
+	if r.Len() != 0 || r.Total() != 0 || len(r.Slice()) != 0 || r.Cap() != capacity {
+		t.Fatal("Reset did not empty the ring")
+	}
+	r.Push(7)
+	if s := r.Slice(); len(s) != 1 || s[0] != 7 {
+		t.Fatalf("after Reset and one push: %v", s)
+	}
+}
+
+// TestLocalHistogramFlushMatchesDirect: staging observations in a
+// LocalHistogram and flushing them, in several batches, leaves a Histogram
+// identical to observing each value directly.
+func TestLocalHistogramFlushMatchesDirect(t *testing.T) {
+	direct, staged := NewHistogram(), NewHistogram()
+	var l LocalHistogram
+	l.FlushTo(staged) // an empty flush changes nothing
+	v := uint64(1)
+	for i := 0; i < 5000; i++ {
+		v = v*6364136223846793005 + 1442695040888963407
+		x := v >> (v % 64)
+		direct.Observe(x)
+		l.Observe(x)
+		if i%777 == 0 {
+			l.FlushTo(staged)
+		}
+	}
+	l.FlushTo(staged)
+	if d, s := direct.Snapshot(), staged.Snapshot(); !reflect.DeepEqual(d, s) {
+		t.Fatalf("staged histogram differs from direct:\n direct %+v\n staged %+v", d, s)
 	}
 }

@@ -33,9 +33,11 @@ type Access struct {
 // harnesses call Run repeatedly on one trace. Callers must treat the
 // returned slice as read-only.
 func (t *Trace) AccessStream() []Access {
-	t.accessOnce.Do(func() { t.accessStream = t.buildAccessStream() })
-	return t.accessStream
+	return t.Memo(accessStreamKey{}, func() any { return t.buildAccessStream() }).([]Access)
 }
+
+// accessStreamKey is AccessStream's Memo key.
+type accessStreamKey struct{}
 
 func (t *Trace) buildAccessStream() []Access {
 	n := 0

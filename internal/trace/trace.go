@@ -95,10 +95,37 @@ type Trace struct {
 	// Records is the dynamic branch sequence.
 	Records []Record
 
-	// accessStream caches AccessStream's result; it is derived purely from
-	// Records, which are immutable once a Trace is published.
-	accessOnce   sync.Once
-	accessStream []Access
+	// memo holds Memo's values, one entry per key: values derived purely
+	// from Records, which are immutable once a Trace is published.
+	memoMu sync.Mutex
+	memo   map[any]*memoEntry // guarded by memoMu
+}
+
+// memoEntry is one Memo value; once makes its build single-flight.
+type memoEntry struct {
+	once sync.Once
+	v    any
+}
+
+// Memo returns the value build derives from the trace for key, building it
+// at most once per Trace and key: concurrent callers with one key wait for
+// the first build and share its result. Per-trace data derived from
+// Records (the access stream, the timing core's frontend outcome streams)
+// is cached here, so it lives exactly as long as the trace. key must be
+// comparable, and callers must treat the value as read-only.
+func (t *Trace) Memo(key any, build func() any) any {
+	t.memoMu.Lock()
+	e := t.memo[key]
+	if e == nil {
+		if t.memo == nil {
+			t.memo = make(map[any]*memoEntry)
+		}
+		e = new(memoEntry)
+		t.memo[key] = e
+	}
+	t.memoMu.Unlock()
+	e.once.Do(func() { e.v = build() })
+	return e.v
 }
 
 // Len returns the number of dynamic branch records.

@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"io"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -171,6 +173,41 @@ func TestAccessStreamNextUseProperty(t *testing.T) {
 				t.Fatalf("iter %d: access %d NextUse = %d, want %d", iter, i, acc[i].NextUse, want)
 			}
 		}
+	}
+}
+
+// TestMemoSingleFlight: concurrent Memo callers build each key's value
+// once and all see that value; distinct keys get distinct values.
+func TestMemoSingleFlight(t *testing.T) {
+	tr := sampleTrace()
+	type key struct{ n int }
+	var builds [2]atomic.Int32
+	got := make([]any, 16)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			k := i % 2
+			got[i] = tr.Memo(key{k}, func() any {
+				builds[k].Add(1)
+				return &struct{ k int }{k}
+			})
+		}(i)
+	}
+	wg.Wait()
+	for k := range builds {
+		if n := builds[k].Load(); n != 1 {
+			t.Errorf("key %d built %d times, want 1", k, n)
+		}
+	}
+	for i := range got {
+		if got[i] != got[i%2] {
+			t.Fatalf("caller %d saw a different value for key %d", i, i%2)
+		}
+	}
+	if got[0] == got[1] {
+		t.Fatal("distinct keys share one value")
 	}
 }
 
