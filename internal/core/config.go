@@ -66,6 +66,8 @@ type Config struct {
 	PerfectICache bool
 
 	// Prefetcher is an optional BTB prefetcher (Confluence/Shotgun/Twig).
+	// Its fills go to the one-level BTB (or Shotgun's partitions), so it
+	// cannot be combined with TwoLevelBTB: Run panics.
 	Prefetcher Prefetcher
 	// PrefetchDelay is the number of demand BTB accesses after which a
 	// prefetch-issued fill becomes visible. It models the fill latency of
@@ -80,7 +82,8 @@ type Config struct {
 	ShotgunPartition bool
 	// TwoLevelBTB, when non-nil, replaces the monolithic BTB with a
 	// two-level organization (small fast L1 backed by a large L2); see
-	// btb.TwoLevel. Mutually exclusive with ShotgunPartition and BTBSets.
+	// btb.TwoLevel. Mutually exclusive with ShotgunPartition and BTBSets,
+	// and not supported with a Prefetcher (Run panics).
 	TwoLevelBTB *TwoLevelBTBConfig
 
 	// Latencies configures the memory hierarchy.

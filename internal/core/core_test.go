@@ -236,8 +236,8 @@ func TestBuildMetaAndNextUse(t *testing.T) {
 		{PC: 0x100, Target: 0x200, Taken: true, Type: trace.UncondDirect},
 	}}
 	m := BuildMeta(tr.AccessStream())
-	if len(m.ByBlock[0x100>>6]) != 2 {
-		t.Fatalf("block sites = %d, want 2 (0x100 and 0x130 share a block)", len(m.ByBlock[0x100>>6]))
+	if _, sites := m.ByBlock(0x100 >> 6); len(sites) != 2 {
+		t.Fatalf("block sites = %d, want 2 (0x100 and 0x130 share a block)", len(sites))
 	}
 	if nu := m.NextUseAfter(0x100, 0); nu != 2 {
 		t.Fatalf("next use = %d, want 2", nu)

@@ -2,11 +2,8 @@ package core
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 
-	"thermometer/internal/btb"
-	"thermometer/internal/policy"
 	"thermometer/internal/trace"
 )
 
@@ -66,55 +63,6 @@ func TestConfigFieldsClassified(t *testing.T) {
 		cf, _ := cfg.FieldByName(name)
 		if !ok || kf.Type != cf.Type {
 			t.Errorf("frontKey.%s missing or not of Config's type %v", name, cf.Type)
-		}
-	}
-}
-
-// TestRunConcurrentOnFreshTrace runs core.Run from several goroutines on
-// one trace whose frontend streams are not built yet, under several
-// policies and two memo keys, and checks every result against a serial run
-// on a separate copy of the trace.
-func TestRunConcurrentOnFreshTrace(t *testing.T) {
-	base := smallTrace(t, "kafka")
-	policies := []func() btb.Policy{
-		func() btb.Policy { return policy.NewLRU() },
-		func() btb.Policy { return policy.NewSRRIP() },
-		func() btb.Policy { return policy.NewGHRP() },
-		func() btb.Policy { return policy.NewOPT() },
-	}
-	configs := make([]Config, 0, 2*len(policies))
-	for _, perfectICache := range []bool{false, true} {
-		for _, p := range policies {
-			cfg := DefaultConfig()
-			cfg.NewPolicy = p
-			cfg.PerfectICache = perfectICache
-			configs = append(configs, cfg)
-		}
-	}
-
-	fresh := func() *trace.Trace { return &trace.Trace{Name: base.Name, Records: base.Records} }
-	serialTrace := fresh()
-	want := make([]Result, len(configs))
-	for i, cfg := range configs {
-		want[i] = *Run(serialTrace, cfg)
-	}
-
-	shared := fresh()
-	got := make([]Result, 3*len(configs))
-	var wg sync.WaitGroup
-	for i := range got {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i] = *Run(shared, configs[i%len(configs)])
-		}(i)
-	}
-	wg.Wait()
-	for i := range got {
-		g, w := got[i], want[i%len(configs)]
-		g.Policy, w.Policy = nil, nil
-		if g != w {
-			t.Errorf("concurrent run %d (config %d) diverged:\n got  %+v\n want %+v", i, i%len(configs), g, w)
 		}
 	}
 }

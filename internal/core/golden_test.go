@@ -1,6 +1,7 @@
 // Golden-equivalence tests for the full timing simulation: every policy is
-// run through core.Run under the configuration variants the ISSUE names
-// (base, hints, zero-warmup, two-level, partitioned, prefetching, observed)
+// run through core.Run under a set of configuration variants (base, hints,
+// zero-warmup, two-level, partitioned, the Confluence, Shotgun and Twig
+// prefetchers, observed, audited, and one per frontend memo-key field)
 // and the complete Result — cycle counts, stall attribution, BTB stats,
 // policy telemetry, and the observer's JSON/CSV artifacts — is fingerprinted
 // against a checked-in golden file. The audited variants also hash the
@@ -148,6 +149,9 @@ func TestGoldenCore(t *testing.T) {
 		cfg.Hints = hints
 		return cfg
 	}
+	// Twig is trained on another input of the same app, as Fig 21 trains
+	// it on the profiling input.
+	twig := prefetch.TrainTwig(spec.ScaleLength(1, 20).Generate(1), prefetch.TwigConfig{Entries: 8192, Ways: 4})
 	variants := []variant{
 		{"base", func() core.Config { return core.DefaultConfig() }, false, false, false},
 		{"hints", hinted, false, false, false},
@@ -175,6 +179,27 @@ func TestGoldenCore(t *testing.T) {
 			cfg.Prefetcher = prefetch.NewConfluence(core.BuildMeta(tr.AccessStream()))
 			return cfg
 		}, false, false, false},
+		{"prefetch-shotgun", func() core.Config {
+			cfg := core.DefaultConfig()
+			cfg.Hints = hints
+			cfg.Prefetcher = prefetch.NewShotgun(core.BuildMeta(tr.AccessStream()))
+			cfg.ShotgunPartition = true
+			return cfg
+		}, false, false, false},
+		{"prefetch-twig", func() core.Config {
+			cfg := core.DefaultConfig()
+			cfg.Hints = hints
+			cfg.Prefetcher = twig
+			return cfg
+		}, false, false, false},
+		// A prefetcher with an observer runs the loop that carries both
+		// the fill and the telemetry hooks.
+		{"prefetch-observed", func() core.Config {
+			cfg := core.DefaultConfig()
+			cfg.Hints = hints
+			cfg.Prefetcher = prefetch.NewConfluence(core.BuildMeta(tr.AccessStream()))
+			return cfg
+		}, true, false, false},
 		{"observed", hinted, true, false, false},
 		{"attrib", hinted, false, true, false},
 		{"hintqual", hinted, false, false, true},

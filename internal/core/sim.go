@@ -198,7 +198,12 @@ func Run(tr *trace.Trace, cfg Config) *Result {
 	accesses := tr.AccessStream()
 	var meta *TraceMeta
 	if cfg.Prefetcher != nil {
-		meta = BuildMeta(accesses)
+		if cfg.TwoLevelBTB != nil {
+			// Fills go to one BTB through its policy; a two-level
+			// organization has no prefetch-fill path to either level.
+			panic("core: a Prefetcher requires a one-level BTB (no TwoLevelBTB)")
+		}
+		meta = MetaFor(tr)
 	}
 
 	res := &Result{Name: tr.Name}
@@ -379,21 +384,23 @@ func (s *sim) btbAccess(r *trace.Record) (hit bool, bubble uint64) {
 }
 
 // applyFill installs one matured prefetch fill through the BTB's policy.
-// The meta/hints presence checks were hoisted to setup: meta is non-nil
-// whenever a prefetcher is configured (fills only mature in the prefetch
-// variants), so only the hint-table branch remains here.
+// PrefetchFill refuses a resident branch before it reads the request, so
+// the residency check comes first and only fills that can install are
+// priced (next use, temperature). meta is non-nil whenever a prefetcher is
+// configured (fills only mature in the prefetch variants).
 func (s *sim) applyFill(pf pendingFill) {
+	b := s.bank.pick(pf.typ)
+	if _, resident := b.Lookup(pf.pc); resident {
+		return
+	}
 	req := &s.fillReq
 	req.PC, req.Target, req.Type = pf.pc, pf.target, pf.typ
 	req.Prefetch, req.Index = true, s.curIdx
-	req.NextUse = trace.NoNextUse
-	if s.meta != nil {
-		req.NextUse = s.meta.NextUseAfter(pf.pc, s.curIdx)
-	}
+	req.NextUse = s.meta.NextUseAfter(pf.pc, s.curIdx)
 	if s.hints != nil {
 		req.Temperature = s.hints.Lookup(pf.pc)
 	}
-	if s.bank.pick(pf.typ).PrefetchFill(req) {
+	if b.PrefetchFill(req) {
 		s.res.PrefetchFills++
 	}
 }

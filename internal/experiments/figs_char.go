@@ -116,7 +116,7 @@ func Fig4(c *Context) []*Table {
 	vals := make([][6]float64, len(apps))
 	c.forEach(len(apps), func(i int) {
 		tr := c.AppTrace(apps[i], 0)
-		meta := core.BuildMeta(tr.AccessStream())
+		meta := core.MetaFor(tr)
 		base := runPolicy(tr, nil, nil, nil)
 		sp := func(r *core.Result) float64 { return core.Speedup(base, r) }
 

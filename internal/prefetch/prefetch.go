@@ -31,7 +31,7 @@ import (
 // data center applications, per the paper's §2.2) remain unprefetchable.
 type Confluence struct {
 	meta *core.TraceMeta
-	seen map[uint64]bool
+	seen []bool // by site ID
 	// degree limits entries installed per line fill.
 	degree int
 }
@@ -40,7 +40,7 @@ type Confluence struct {
 // branch map (used only to locate branches within lines; prefetching is
 // restricted to demand-observed branches).
 func NewConfluence(meta *core.TraceMeta) *Confluence {
-	return &Confluence{meta: meta, seen: make(map[uint64]bool, 1<<12), degree: 8}
+	return &Confluence{meta: meta, seen: make([]bool, meta.NumSites()), degree: 8}
 }
 
 // Name implements core.Prefetcher.
@@ -48,11 +48,14 @@ func (p *Confluence) Name() string { return "Confluence" }
 
 // OnLineFill implements core.Prefetcher.
 func (p *Confluence) OnLineFill(blockAddr uint64, insert core.InsertFunc) {
+	first, sites := p.meta.ByBlock(blockAddr)
+	seen := p.seen[first : first+len(sites)]
 	installed := 0
-	for _, s := range p.meta.ByBlock[blockAddr] {
-		if !p.seen[s.PC] {
+	for k := range sites {
+		if !seen[k] {
 			continue
 		}
+		s := &sites[k]
 		insert(s.PC, s.Target, s.Type)
 		installed++
 		if installed >= p.degree {
@@ -64,7 +67,15 @@ func (p *Confluence) OnLineFill(blockAddr uint64, insert core.InsertFunc) {
 // OnBTBAccess implements core.Prefetcher: record the branch into its line's
 // bundle.
 func (p *Confluence) OnBTBAccess(pc, _ uint64, _ bool, _ core.InsertFunc) {
-	p.seen[pc] = true
+	markSeen(p.meta, p.seen, pc)
+}
+
+// markSeen records a demand access to pc in a history prefetcher's seen
+// set. A PC outside the metadata is in no block, so it is never prefetched.
+func markSeen(meta *core.TraceMeta, seen []bool, pc uint64) {
+	if id, ok := meta.ID(pc); ok {
+		seen[id] = true
+	}
 }
 
 var _ core.Prefetcher = (*Confluence)(nil)
@@ -74,7 +85,7 @@ var _ core.Prefetcher = (*Confluence)(nil)
 // earlier demand accesses can be re-installed.
 type Shotgun struct {
 	meta *core.TraceMeta
-	seen map[uint64]bool
+	seen []bool // by site ID
 	// regionBlocks is the spatial footprint (in 64B blocks) fetched around
 	// a target.
 	regionBlocks int
@@ -83,7 +94,7 @@ type Shotgun struct {
 
 // NewShotgun builds a Shotgun prefetcher over the trace's static branch map.
 func NewShotgun(meta *core.TraceMeta) *Shotgun {
-	return &Shotgun{meta: meta, seen: make(map[uint64]bool, 1<<12), regionBlocks: 4, degree: 12}
+	return &Shotgun{meta: meta, seen: make([]bool, meta.NumSites()), regionBlocks: 4, degree: 12}
 }
 
 // Name implements core.Prefetcher.
@@ -96,14 +107,17 @@ func (p *Shotgun) OnLineFill(uint64, core.InsertFunc) {}
 // prefetch the previously-seen branch entries spatially around the target
 // (Shotgun's U-BTB-driven region prefetch).
 func (p *Shotgun) OnBTBAccess(pc, target uint64, _ bool, insert core.InsertFunc) {
-	p.seen[pc] = true
+	markSeen(p.meta, p.seen, pc)
 	blk := target >> 6
 	installed := 0
 	for b := blk; b < blk+uint64(p.regionBlocks); b++ {
-		for _, s := range p.meta.ByBlock[b] {
-			if !p.seen[s.PC] {
+		first, sites := p.meta.ByBlock(b)
+		seen := p.seen[first : first+len(sites)]
+		for k := range sites {
+			if !seen[k] {
 				continue
 			}
+			s := &sites[k]
 			insert(s.PC, s.Target, s.Type)
 			installed++
 			if installed >= p.degree {

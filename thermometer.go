@@ -183,8 +183,9 @@ type Prefetcher = core.Prefetcher
 // TraceMeta is the static branch metadata Confluence and Shotgun index.
 type TraceMeta = core.TraceMeta
 
-// BuildMeta precomputes prefetcher metadata for a trace.
-func BuildMeta(t *Trace) *TraceMeta { return core.BuildMeta(t.AccessStream()) }
+// BuildMeta returns a trace's prefetcher metadata. It is built once per
+// trace and shared read-only with Simulate's own prefetch path.
+func BuildMeta(t *Trace) *TraceMeta { return core.MetaFor(t) }
 
 // NewConfluence builds the Confluence-style BTB prefetcher.
 func NewConfluence(meta *TraceMeta) Prefetcher { return prefetch.NewConfluence(meta) }
