@@ -9,9 +9,8 @@ import (
 )
 
 // pinZeroAllocs asserts fn performs no heap allocation per invocation,
-// pinning the steady-state contract of the SoA BTB: requests are read in
-// place (fast path) or copied into BTB-owned scratch (interface path), and
-// victim snapshots reuse a per-BTB buffer.
+// pinning the steady-state contract of the SoA BTB: requests are copied
+// into BTB-owned scratch and victim snapshots reuse a per-BTB buffer.
 func pinZeroAllocs(t *testing.T, name string, fn func()) {
 	t.Helper()
 	fn() // warm up: first call may grow internal scratch
@@ -44,8 +43,8 @@ func accessDriver(b *btb.BTB) func() {
 }
 
 // TestAccessDoesNotAllocate pins btb.Access, PrefetchFill, and Lookup at
-// zero allocations for both the devirtualized fast paths and the generic
-// interface path (GHRP has no fast-path core).
+// zero allocations for six policies. The -fastpath/-generic suffixes are
+// kept as stable subtest names; every policy takes the same path.
 func TestAccessDoesNotAllocate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -66,9 +65,8 @@ func TestAccessDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestProbedAccessDoesNotAllocate pins the probe-attached path (used by the
-// golden fingerprint tests and telemetry), which shares the generic access
-// body.
+// TestProbedAccessDoesNotAllocate pins Access and PrefetchFill with a probe
+// attached, as the golden fingerprint tests and telemetry run them.
 func TestProbedAccessDoesNotAllocate(t *testing.T) {
 	b := btb.New(256, 4, policy.NewLRU())
 	var events uint64

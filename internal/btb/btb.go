@@ -12,10 +12,8 @@
 // pc/target/meta arrays, so the hit scan touches only the tag column and
 // skips invalid ways via the bitmask instead of loading whole entries.
 // Power-of-two set counts index with a mask; others (the paper's 7979-entry
-// case) keep the modulo. Hot policies are dispatched through concrete cores
-// chosen once at construction (see cores.go); the Policy interface remains
-// the extension point, used by every policy without a core. Both paths
-// report the same events to a telemetry probe.
+// case) keep the modulo. Every hit, insert and victim decision is a call
+// through the Policy interface.
 package btb
 
 import (
@@ -155,19 +153,6 @@ func (k ProbeKind) Demand() bool {
 // A nil probe (the default) costs one predictable branch per event site.
 type ProbeFunc func(kind ProbeKind, set, way int, req *Request, victim *Entry)
 
-// dispatchKind selects the devirtualized per-access path, chosen once at
-// construction from the policy's Fast* accessor (kindGeneric = interface
-// dispatch).
-type dispatchKind uint8
-
-const (
-	kindGeneric dispatchKind = iota
-	kindLRU
-	kindSRRIP
-	kindThermo
-	kindOPT
-)
-
 // BTB is a set-associative branch target buffer.
 //
 // Layout: slot (s, w) of the conceptual sets×ways grid lives at flat index
@@ -194,21 +179,11 @@ type BTB struct {
 	stats  Stats
 	probe  ProbeFunc
 
-	// Devirtualized dispatch: kind and the matching core pointer are chosen
-	// once in NewWithSets. The pointers alias state inside policy, so a
-	// caller that drives the policy through its interface sees the same
-	// state.
-	kind   dispatchKind
-	lru    *LRUCore
-	srrip  *SRRIPCore
-	thermo *ThermometerCore
-	opt    *OPTCore
-
 	// Scratch reused across calls so the steady state allocates nothing:
 	// req receives a copy of the caller's request before it is handed to
-	// interface methods or probes (keeping the caller's Request on its
-	// stack), setScratch materializes a set for Policy.Victim, and
-	// displaced holds the entry passed to ProbeEvict.
+	// the policy or the probe (keeping the caller's Request on its stack),
+	// setScratch materializes a set for Policy.Victim, and displaced holds
+	// the entry passed to ProbeEvict.
 	req        Request
 	setScratch []Entry
 	displaced  Entry
@@ -252,19 +227,6 @@ func NewWithSets(sets, ways int, p Policy) *BTB {
 		setScratch: make([]Entry, ways),
 	}
 	p.Reset(sets, ways)
-	// Devirtualize: adopt the policy's concrete core when it offers one.
-	// Checked most-specific first (Thermometer owns an LRU internally but
-	// must dispatch as Thermometer).
-	switch fp := p.(type) {
-	case ThermometerFastPath:
-		b.kind, b.thermo = kindThermo, fp.FastThermometer()
-	case SRRIPFastPath:
-		b.kind, b.srrip = kindSRRIP, fp.FastSRRIP()
-	case OPTFastPath:
-		b.kind, b.opt = kindOPT, fp.FastOPT()
-	case LRUFastPath:
-		b.kind, b.lru = kindLRU, fp.FastLRU()
-	}
 	return b
 }
 
@@ -284,16 +246,8 @@ func (b *BTB) Stats() Stats { return b.stats }
 // state (used at the end of simulation warmup).
 func (b *BTB) ResetStats() { b.stats = Stats{} }
 
-// SetProbe installs (or, with nil, removes) the telemetry probe. Both
-// dispatch paths report the same event stream to it.
+// SetProbe installs (or, with nil, removes) the telemetry probe.
 func (b *BTB) SetProbe(fn ProbeFunc) { b.probe = fn }
-
-// fire reports one event to the probe. The request goes out as the
-// BTB-owned copy, so the caller's Request never escapes.
-func (b *BTB) fire(kind ProbeKind, s, w int, req *Request, victim *Entry) {
-	b.req = *req
-	b.probe(kind, s, w, &b.req, victim)
-}
 
 // SetIndex maps a branch PC to its set: address modulo set count, per §4.2
 // (a mask when the set count is a power of two).
@@ -360,8 +314,7 @@ func (b *BTB) hitUpdate(s, w int, req *Request) {
 }
 
 // fillAt writes req into slot (s, w) and counts the insertion. The policy
-// insert action is the caller's responsibility (direct on fast paths,
-// OnInsert on the interface path).
+// insert action is the caller's.
 func (b *BTB) fillAt(s, w int, req *Request) {
 	i := s*b.ways + w
 	b.valid[s*b.vwords+w>>6] |= 1 << uint(w&63)
@@ -371,59 +324,8 @@ func (b *BTB) fillAt(s, w int, req *Request) {
 	b.stats.Insertions++
 }
 
-// fastOnHit dispatches the hit action to the selected core.
-func (b *BTB) fastOnHit(s, w int, req *Request) {
-	switch b.kind {
-	case kindLRU:
-		b.lru.Touch(s, w)
-	case kindSRRIP:
-		b.srrip.Promote(s, w)
-	case kindThermo:
-		b.thermo.Touch(s, w)
-	case kindOPT:
-		b.opt.Record(s, w, req)
-	default:
-		panic("btb: fast hit dispatch on generic policy")
-	}
-}
-
-// fastOnInsert dispatches the insert action to the selected core.
-func (b *BTB) fastOnInsert(s, w int, req *Request) {
-	switch b.kind {
-	case kindLRU:
-		b.lru.Touch(s, w)
-	case kindSRRIP:
-		b.srrip.InsertLong(s, w)
-	case kindThermo:
-		b.thermo.Touch(s, w)
-	case kindOPT:
-		b.opt.Record(s, w, req)
-	default:
-		panic("btb: fast insert dispatch on generic policy")
-	}
-}
-
-// fastVictim dispatches victim selection to the selected core (set full).
-func (b *BTB) fastVictim(s int, req *Request) int {
-	switch b.kind {
-	case kindLRU:
-		return b.lru.LRUWay(s)
-	case kindSRRIP:
-		return b.srrip.SelectVictim(s)
-	case kindThermo:
-		t := b.thermo
-		base := s * b.ways
-		for w := 0; w < b.ways; w++ {
-			t.temps[w] = uint8(b.meta[base+w] >> 8)
-		}
-		return t.SelectVictim(s, t.temps, req)
-	default: // kindOPT
-		return b.opt.SelectVictim(s, req)
-	}
-}
-
 // materializeSet snapshots set s into the reusable scratch for
-// Policy.Victim on the interface path.
+// Policy.Victim.
 func (b *BTB) materializeSet(s int) []Entry {
 	for w := 0; w < b.ways; w++ {
 		b.setScratch[w] = b.entryAt(s, w)
@@ -446,112 +348,31 @@ func (b *BTB) Lookup(pc uint64) (target uint64, hit bool) {
 // Access performs a demand access for a taken branch: probe, update
 // replacement state on a hit, or consult the policy and insert on a miss.
 //
-// The caller's Request never escapes: fast paths read it in place, and the
-// interface path works on a BTB-owned copy, so per-access Requests stay on
-// the caller's stack.
+// The policy and the probe get a BTB-owned copy of req, so the caller's
+// Request never escapes and per-access Requests stay on the caller's stack.
 func (b *BTB) Access(req *Request) Result {
-	if b.kind != kindGeneric {
-		r := b.accessFast(req)
-		if b.probe != nil {
-			b.fireAccess(req, r)
-		}
-		return r
-	}
+	b.stats.Accesses++
 	b.req = *req
-	return b.accessGeneric(&b.req)
-}
-
-// accessFast is the devirtualized demand access: identical decision
-// sequence to accessGeneric, with the policy hooks dispatched directly.
-func (b *BTB) accessFast(req *Request) Result {
-	b.stats.Accesses++
-	s := b.SetIndex(req.PC)
-	if i := b.findWay(s, req.PC); i >= 0 {
-		b.hitUpdate(s, i, req)
-		b.fastOnHit(s, i, req)
-		return Result{Hit: true, Way: i}
+	r := &b.req
+	s := b.SetIndex(r.PC)
+	if w := b.findWay(s, r.PC); w >= 0 {
+		b.hitUpdate(s, w, r)
+		b.policy.OnHit(s, w, r)
+		if b.probe != nil {
+			b.probe(ProbeHit, s, w, r, nil)
+		}
+		return Result{Hit: true, Way: w}
 	}
 	b.stats.Misses++
-	if i := b.firstInvalid(s); i >= 0 {
-		b.fillAt(s, i, req)
-		b.fastOnInsert(s, i, req)
-		return Result{Way: i}
-	}
-	v := b.fastVictim(s, req)
-	if v == Bypass {
-		b.stats.Bypasses++
-		return Result{Bypassed: true, Way: -1}
-	}
-	evicted := b.entryAt(s, v)
-	b.stats.Evictions++
-	b.fillAt(s, v, req)
-	b.fastOnInsert(s, v, req)
-	return Result{Evicted: evicted, Way: v}
-}
-
-// fireAccess reports a fast-path demand access to the probe: the events
-// accessGeneric fires, in its order and after the same state changes, read
-// back from the access's Result. A full set is all valid, so a valid
-// Evicted entry means the access replaced one.
-func (b *BTB) fireAccess(req *Request, r Result) {
-	s := b.SetIndex(req.PC)
-	switch {
-	case r.Hit:
-		b.fire(ProbeHit, s, r.Way, req, nil)
-	case r.Bypassed:
-		b.fire(ProbeBypass, s, -1, req, nil)
-	case r.Evicted.Valid:
-		b.displaced = r.Evicted
-		b.fire(ProbeEvict, s, r.Way, req, &b.displaced)
-		b.fire(ProbeInsert, s, r.Way, req, nil)
-	default:
-		b.fire(ProbeInsert, s, r.Way, req, nil)
-	}
-}
-
-// accessGeneric is the interface-dispatch demand access, used for policies
-// without a fast core.
-func (b *BTB) accessGeneric(req *Request) Result {
-	b.stats.Accesses++
-	s := b.SetIndex(req.PC)
-	if i := b.findWay(s, req.PC); i >= 0 {
-		b.hitUpdate(s, i, req)
-		b.policy.OnHit(s, i, req)
-		if b.probe != nil {
-			b.probe(ProbeHit, s, i, req, nil)
-		}
-		return Result{Hit: true, Way: i}
-	}
-	b.stats.Misses++
-	if i := b.firstInvalid(s); i >= 0 {
-		b.fillAt(s, i, req)
-		b.policy.OnInsert(s, i, req)
-		if b.probe != nil {
-			b.probe(ProbeInsert, s, i, req, nil)
-		}
-		return Result{Way: i}
-	}
-	v := b.policy.Victim(s, b.materializeSet(s), req)
-	if v == Bypass {
+	w, evicted := b.install(s, r, ProbeInsert)
+	if w == Bypass {
 		b.stats.Bypasses++
 		if b.probe != nil {
-			b.probe(ProbeBypass, s, -1, req, nil)
+			b.probe(ProbeBypass, s, -1, r, nil)
 		}
 		return Result{Bypassed: true, Way: -1}
 	}
-	if v < 0 || v >= b.ways {
-		panic(fmt.Sprintf("btb: policy %s returned invalid victim %d", b.policy.Name(), v))
-	}
-	evicted := b.entryAt(s, v)
-	b.stats.Evictions++
-	b.fillAt(s, v, req)
-	b.policy.OnInsert(s, v, req)
-	if b.probe != nil {
-		b.displaced = evicted
-		b.probe(ProbeEvict, s, v, req, &b.displaced)
-		b.probe(ProbeInsert, s, v, req, nil)
-	}
-	return Result{Evicted: evicted, Way: v}
+	return Result{Evicted: evicted, Way: w}
 }
 
 // PrefetchFill installs req if absent, consulting the replacement policy
@@ -559,77 +380,47 @@ func (b *BTB) accessGeneric(req *Request) Result {
 // whether a fill happened. Prefetches do not touch demand hit/miss
 // counters; fills are visible via Stats().PrefetchFills.
 func (b *BTB) PrefetchFill(req *Request) bool {
-	if b.kind != kindGeneric {
-		return b.prefetchFast(req)
+	s := b.SetIndex(req.PC)
+	if b.findWay(s, req.PC) >= 0 {
+		return false // already present
 	}
 	b.req = *req
-	return b.prefetchGeneric(&b.req)
+	w, _ := b.install(s, &b.req, ProbePrefetchFill)
+	return w != Bypass
 }
 
-func (b *BTB) prefetchFast(req *Request) bool {
-	s := b.SetIndex(req.PC)
-	if b.findWay(s, req.PC) >= 0 {
-		return false // already present
-	}
-	if i := b.firstInvalid(s); i >= 0 {
-		b.fillAt(s, i, req)
-		b.fastOnInsert(s, i, req)
-		b.stats.PrefetchFills++
-		if b.probe != nil {
-			b.fire(ProbePrefetchFill, s, i, req, nil)
+// install places req (BTB-owned), absent from set s, into the set's lowest
+// invalid way or else the policy's victim. kind (ProbeInsert or
+// ProbePrefetchFill) is the event the fill reports to the probe, after a
+// ProbeEvict when it displaced an entry; a prefetch fill is also counted in
+// Stats. It returns the way filled, or Bypass, and the displaced entry.
+func (b *BTB) install(s int, req *Request, kind ProbeKind) (int, Entry) {
+	var evicted Entry
+	w := b.firstInvalid(s)
+	if w < 0 {
+		w = b.policy.Victim(s, b.materializeSet(s), req)
+		if w == Bypass {
+			return Bypass, evicted
 		}
-		return true
-	}
-	v := b.fastVictim(s, req)
-	if v == Bypass {
-		return false
-	}
-	if b.probe != nil {
-		b.displaced = b.entryAt(s, v)
-	}
-	b.stats.Evictions++
-	b.fillAt(s, v, req)
-	b.fastOnInsert(s, v, req)
-	b.stats.PrefetchFills++
-	if b.probe != nil {
-		b.fire(ProbeEvict, s, v, req, &b.displaced)
-		b.fire(ProbePrefetchFill, s, v, req, nil)
-	}
-	return true
-}
-
-func (b *BTB) prefetchGeneric(req *Request) bool {
-	s := b.SetIndex(req.PC)
-	if b.findWay(s, req.PC) >= 0 {
-		return false // already present
-	}
-	if i := b.firstInvalid(s); i >= 0 {
-		b.fillAt(s, i, req)
-		b.policy.OnInsert(s, i, req)
-		b.stats.PrefetchFills++
-		if b.probe != nil {
-			b.probe(ProbePrefetchFill, s, i, req, nil)
+		if w < 0 || w >= b.ways {
+			panic(fmt.Sprintf("btb: policy %s returned invalid victim %d", b.policy.Name(), w))
 		}
-		return true
+		evicted = b.entryAt(s, w)
+		b.stats.Evictions++
 	}
-	v := b.policy.Victim(s, b.materializeSet(s), req)
-	if v == Bypass {
-		return false
+	b.fillAt(s, w, req)
+	b.policy.OnInsert(s, w, req)
+	if kind == ProbePrefetchFill {
+		b.stats.PrefetchFills++
 	}
-	if v < 0 || v >= b.ways {
-		panic(fmt.Sprintf("btb: policy %s returned invalid victim %d", b.policy.Name(), v))
-	}
-	evicted := b.entryAt(s, v)
-	b.stats.Evictions++
-	b.fillAt(s, v, req)
-	b.policy.OnInsert(s, v, req)
-	b.stats.PrefetchFills++
 	if b.probe != nil {
-		b.displaced = evicted
-		b.probe(ProbeEvict, s, v, req, &b.displaced)
-		b.probe(ProbePrefetchFill, s, v, req, nil)
+		if evicted.Valid {
+			b.displaced = evicted
+			b.probe(ProbeEvict, s, w, req, &b.displaced)
+		}
+		b.probe(kind, s, w, req, nil)
 	}
-	return true
+	return w, evicted
 }
 
 // Contents returns a copy of a set's entries (for tests and debugging).

@@ -6,8 +6,8 @@
 // against a checked-in golden file.
 //
 // The goldens were generated from the original []Entry (AoS) implementation;
-// they pin the struct-of-arrays refactor and the devirtualized policy
-// dispatch to byte-identical behaviour. Regenerate with:
+// they pin the struct-of-arrays storage to byte-identical behaviour.
+// Regenerate with:
 //
 //	go test ./internal/btb -run TestGoldenBTB -update-golden
 package btb_test

@@ -35,9 +35,6 @@ type Config struct {
 	// FTQInstrCap is the FTQ capacity in instructions (Table 1: 24
 	// entries × 8 = 192); it caps FDIP run-ahead.
 	FTQInstrCap int
-	// DecodeQueue and ROB sizes bound the backend absorption window.
-	DecodeQueue int
-	ROB         int
 
 	// BTBEntries/BTBWays give the BTB geometry (Table 1: 8192 × 4);
 	// BTBSets, when nonzero, overrides the derived set count.
@@ -146,8 +143,6 @@ func DefaultConfig() Config {
 	return Config{
 		FetchWidth:            6,
 		FTQInstrCap:           192,
-		DecodeQueue:           60,
-		ROB:                   352,
 		BTBEntries:            8192,
 		BTBWays:               4,
 		IBTBEntries:           4096,
@@ -165,7 +160,7 @@ func DefaultConfig() Config {
 
 // Table1 returns the simulation-parameter rows exactly as the paper's
 // Table 1 groups them, for the table1 experiment.
-func Table1(c Config) [][2]string {
+func Table1() [][2]string {
 	return [][2]string{
 		{"CPU", "6-wide, 24-entry (192-instruction) FTQ, 60-entry Decode Queue, 352-entry Re-order Buffer, 128-entry Reservation Station"},
 		{"Branch prediction units", "8192-entry 4-way BTB, 4096-entry IBTB, 32-entry RAS, 64KB TAGE"},

@@ -220,7 +220,7 @@ func TestWarmupReducesColdMisses(t *testing.T) {
 }
 
 func TestTable1(t *testing.T) {
-	rows := Table1(DefaultConfig())
+	rows := Table1()
 	if len(rows) != 3 {
 		t.Fatalf("Table 1 rows = %d", len(rows))
 	}

@@ -21,7 +21,7 @@ func TestConfigFieldsClassified(t *testing.T) {
 	// run that sets it builds its own stream.
 	frontendUnkeyed := []string{"NewPredictor"}
 	policySide := []string{
-		"FetchWidth", "FTQInstrCap", "DecodeQueue", "ROB",
+		"FetchWidth", "FTQInstrCap",
 		"BTBEntries", "BTBWays", "BTBSets",
 		"DecodeRedirectPenalty", "ExecRedirectPenalty",
 		"NewPolicy", "Hints", "PerfectBTB",

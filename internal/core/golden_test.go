@@ -1,15 +1,16 @@
 // Golden-equivalence tests for the full timing simulation: every policy is
 // run through core.Run under a set of configuration variants (base, hints,
 // zero-warmup, two-level, partitioned, the Confluence, Shotgun and Twig
-// prefetchers, observed, audited, and one per frontend memo-key field)
-// and the complete Result — cycle counts, stall attribution, BTB stats,
-// policy telemetry, and the observer's JSON/CSV artifacts — is fingerprinted
-// against a checked-in golden file. The audited variants also hash the
-// attribution and hint-quality reports and CSVs.
+// prefetchers, Confluence and Shotgun on a small BTB, observed, audited,
+// and one per frontend memo-key field) and the complete Result — cycle
+// counts, stall attribution, BTB stats, policy telemetry, and the
+// observer's JSON/CSV artifacts — is fingerprinted against a checked-in
+// golden file. The audited variants also hash the attribution and
+// hint-quality reports and CSVs.
 //
-// The goldens were generated from the pre-SoA simulator; they pin the
-// restructured core (SoA BTB, devirtualized dispatch, specialized record
-// loops, fill ring) to byte-identical results. Regenerate with:
+// The goldens were generated before the restructurings they guard (SoA
+// BTB, devirtualized dispatch, fill ring, frontend pass, one record loop)
+// and pin them to byte-identical results. Regenerate with:
 //
 //	go test ./internal/core -run TestGoldenCore -update-golden
 package core_test
@@ -138,6 +139,14 @@ func TestGoldenCore(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The small-BTB prefetch variants run a 1024-entry BTB, where fills
+	// evict often enough to exercise the fill path's policy decisions; their
+	// hints are profiled at that geometry.
+	smallHints, _, err := profile.ProfileTrace(tr, 1024, 4, profile.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	type variant struct {
 		name    string
 		cfg     func() core.Config
@@ -192,8 +201,23 @@ func TestGoldenCore(t *testing.T) {
 			cfg.Prefetcher = twig
 			return cfg
 		}, false, false, false},
-		// A prefetcher with an observer runs the loop that carries both
-		// the fill and the telemetry hooks.
+		{"prefetch-small", func() core.Config {
+			cfg := core.DefaultConfig()
+			cfg.BTBEntries = 1024
+			cfg.Hints = smallHints
+			cfg.Prefetcher = prefetch.NewConfluence(core.BuildMeta(tr.AccessStream()))
+			return cfg
+		}, false, false, false},
+		{"prefetch-shotgun-small", func() core.Config {
+			cfg := core.DefaultConfig()
+			cfg.BTBEntries = 1024
+			cfg.Hints = smallHints
+			cfg.Prefetcher = prefetch.NewShotgun(core.BuildMeta(tr.AccessStream()))
+			cfg.ShotgunPartition = true
+			return cfg
+		}, false, false, false},
+		// A prefetcher with an observer runs both the fill and the
+		// telemetry hooks.
 		{"prefetch-observed", func() core.Config {
 			cfg := core.DefaultConfig()
 			cfg.Hints = hints

@@ -145,10 +145,7 @@ func (r *fillRing) pop() pendingFill {
 // prefetcher hooks, the probe consumers and the FDIP lead/clock arithmetic.
 // The BTB-independent outcomes come precomputed in fe (see frontend.go).
 // Loop-invariant configuration (hint table, prefetcher, penalties,
-// perfect-structure flags) is hoisted into fields once at setup; the record
-// loop comes in specialized variants (observed/unobserved ×
-// prefetch/no-prefetch) so the steady-state path checks none of it per
-// access.
+// perfect-structure flags) is hoisted into fields once at setup.
 type sim struct {
 	res *Result
 
@@ -285,7 +282,7 @@ func Run(tr *trace.Trace, cfg Config) *Result {
 	}
 
 	// Telemetry attachment: obs and fan are nil for the common
-	// uninstrumented run; the unobserved loop variants never consult obs.
+	// uninstrumented run.
 	if cfg.Observer != nil {
 		s.obs = newObserverState(cfg.Observer, res, bank, twoLevel)
 	}
@@ -322,24 +319,6 @@ func Run(tr *trace.Trace, cfg Config) *Result {
 		s.fan.finish()
 	}
 	return res
-}
-
-// runRecords dispatches to the loop variant specialized for this run's
-// instrumentation. The split hoists the observer and prefetcher checks out
-// of the per-record path entirely: the fast variant's body mentions
-// neither.
-func (s *sim) runRecords(recs []trace.Record, fe []frontRec) {
-	fe = fe[:len(recs)]
-	switch {
-	case s.obs == nil && s.prefetcher == nil:
-		s.loopFast(recs, fe)
-	case s.obs == nil:
-		s.loopPrefetch(recs, fe)
-	case s.prefetcher == nil:
-		s.loopObserved(recs, fe)
-	default:
-		s.loopFull(recs, fe)
-	}
 }
 
 // warmupReset ends warmup: all structures stay trained, statistics and the
@@ -386,8 +365,8 @@ func (s *sim) btbAccess(r *trace.Record) (hit bool, bubble uint64) {
 // applyFill installs one matured prefetch fill through the BTB's policy.
 // PrefetchFill refuses a resident branch before it reads the request, so
 // the residency check comes first and only fills that can install are
-// priced (next use, temperature). meta is non-nil whenever a prefetcher is
-// configured (fills only mature in the prefetch variants).
+// priced (next use, temperature). Only a prefetcher queues fills, and meta
+// is non-nil whenever one is configured.
 func (s *sim) applyFill(pf pendingFill) {
 	b := s.bank.pick(pf.typ)
 	if _, resident := b.Lookup(pf.pc); resident {
@@ -521,10 +500,11 @@ func (s *sim) leadCapH() uint64 {
 	return c
 }
 
-// loopFast is the unobserved, non-prefetching record loop — the steady
-// state of every sweep and benchmark. Its body touches no optional
-// feature: no observer, no prefetcher, no pending-fill queue.
-func (s *sim) loopFast(recs []trace.Record, fe []frontRec) {
+// runRecords simulates recs, one basic block each. The prefetcher hooks
+// (fill draining, access feedback, line-fill taps) run only with a
+// prefetcher attached and the telemetry hooks only with an observer.
+func (s *sim) runRecords(recs []trace.Record, fe []frontRec) {
+	fe = fe[:len(recs)]
 	for i := range recs {
 		r, f := &recs[i], &fe[i]
 		n := uint64(r.BlockLen) + 1 // block + the branch itself
@@ -534,76 +514,15 @@ func (s *sim) loopFast(recs []trace.Record, fe []frontRec) {
 		var btbBubble uint64
 		if r.Taken {
 			if !s.perfectBTB {
+				if s.prefetcher != nil {
+					s.drainFills()
+				}
 				hit, bubble := s.btbAccess(r)
 				btbMiss = !hit
 				btbBubble = bubble
-			}
-			s.curIdx++
-		}
-
-		penalty := s.redirectPenalty(r, f.flags&frontDirMiss != 0, btbMiss, f.flags&frontTargetMiss != 0)
-		if penalty > 0 {
-			s.applyPenalty(penalty)
-		}
-
-		stall := s.icacheStall(f)
-		s.advanceClock(n, penalty, stall, s.dataStall(f), btbBubble)
-	}
-}
-
-// loopPrefetch adds the BTB prefetcher hooks (fill draining, access
-// feedback, line-fill taps) to the fast loop.
-func (s *sim) loopPrefetch(recs []trace.Record, fe []frontRec) {
-	for i := range recs {
-		r, f := &recs[i], &fe[i]
-		n := uint64(r.BlockLen) + 1
-		s.res.Instructions += n
-
-		btbMiss := false
-		var btbBubble uint64
-		if r.Taken {
-			if !s.perfectBTB {
-				s.drainFills()
-				hit, bubble := s.btbAccess(r)
-				btbMiss = !hit
-				btbBubble = bubble
-				s.prefetcher.OnBTBAccess(r.PC, r.Target, !btbMiss, s.insertFn)
-			}
-			s.curIdx++
-		}
-
-		penalty := s.redirectPenalty(r, f.flags&frontDirMiss != 0, btbMiss, f.flags&frontTargetMiss != 0)
-		if penalty > 0 {
-			s.applyPenalty(penalty)
-		}
-
-		if !s.perfectICache {
-			s.lineFills(r, n)
-		}
-		stall := s.icacheStall(f)
-		s.advanceClock(n, penalty, stall, s.dataStall(f), btbBubble)
-	}
-}
-
-// loopObserved adds the telemetry observer hooks to the fast loop.
-func (s *sim) loopObserved(recs []trace.Record, fe []frontRec) {
-	// runRecords only selects this variant with an observer attached; the
-	// loop body relies on that (one check here, not one per record).
-	if s.obs == nil {
-		panic("core: loopObserved selected without an observer")
-	}
-	for i := range recs {
-		r, f := &recs[i], &fe[i]
-		n := uint64(r.BlockLen) + 1
-		s.res.Instructions += n
-
-		btbMiss := false
-		var btbBubble uint64
-		if r.Taken {
-			if !s.perfectBTB {
-				hit, bubble := s.btbAccess(r)
-				btbMiss = !hit
-				btbBubble = bubble
+				if s.prefetcher != nil {
+					s.prefetcher.OnBTBAccess(r.PC, r.Target, hit, s.insertFn)
+				}
 			}
 			s.curIdx++
 		}
@@ -611,54 +530,19 @@ func (s *sim) loopObserved(recs []trace.Record, fe []frontRec) {
 		dirMiss, targetMiss := f.flags&frontDirMiss != 0, f.flags&frontTargetMiss != 0
 		penalty := s.redirectPenalty(r, dirMiss, btbMiss, targetMiss)
 		if penalty > 0 {
-			s.obs.onRedirect(btbMiss, dirMiss, targetMiss, r.PC, penalty)
-			s.applyPenalty(penalty)
-		}
-
-		stall := s.icacheStall(f)
-		s.advanceClock(n, penalty, stall, s.dataStall(f), btbBubble)
-		s.obs.afterBlock(s.leadH / 2)
-	}
-}
-
-// loopFull runs with both the prefetcher and the observer attached, so it
-// combines loopPrefetch's fill hooks with loopObserved's telemetry hooks.
-func (s *sim) loopFull(recs []trace.Record, fe []frontRec) {
-	// runRecords only selects this variant with an observer attached; the
-	// loop body relies on that (one check here, not one per record).
-	if s.obs == nil {
-		panic("core: loopFull selected without an observer")
-	}
-	for i := range recs {
-		r, f := &recs[i], &fe[i]
-		n := uint64(r.BlockLen) + 1
-		s.res.Instructions += n
-
-		btbMiss := false
-		var btbBubble uint64
-		if r.Taken {
-			if !s.perfectBTB {
-				s.drainFills()
-				hit, bubble := s.btbAccess(r)
-				btbMiss = !hit
-				btbBubble = bubble
-				s.prefetcher.OnBTBAccess(r.PC, r.Target, !btbMiss, s.insertFn)
+			if s.obs != nil {
+				s.obs.onRedirect(btbMiss, dirMiss, targetMiss, r.PC, penalty)
 			}
-			s.curIdx++
-		}
-
-		dirMiss, targetMiss := f.flags&frontDirMiss != 0, f.flags&frontTargetMiss != 0
-		penalty := s.redirectPenalty(r, dirMiss, btbMiss, targetMiss)
-		if penalty > 0 {
-			s.obs.onRedirect(btbMiss, dirMiss, targetMiss, r.PC, penalty)
 			s.applyPenalty(penalty)
 		}
 
-		if !s.perfectICache {
+		if s.prefetcher != nil && !s.perfectICache {
 			s.lineFills(r, n)
 		}
 		stall := s.icacheStall(f)
 		s.advanceClock(n, penalty, stall, s.dataStall(f), btbBubble)
-		s.obs.afterBlock(s.leadH / 2)
+		if s.obs != nil {
+			s.obs.afterBlock(s.leadH / 2)
+		}
 	}
 }

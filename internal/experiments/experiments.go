@@ -378,7 +378,7 @@ func IDs() []string {
 // TableOne prints the simulation parameters (Table 1).
 func TableOne(*Context) []*Table {
 	t := &Table{ID: "table1", Title: "Simulation parameters", Header: []string{"Parameter", "Value"}}
-	for _, row := range core.Table1(core.DefaultConfig()) {
+	for _, row := range core.Table1() {
 		t.AddRow(row[0], row[1])
 	}
 	return []*Table{t}

@@ -24,7 +24,7 @@ type GHRP struct {
 	// same (PC, history) context computes, so training transfers.
 	sig        []uint64
 	hitSince   []bool
-	lru        btb.LRUCore
+	lru        lruState
 	deadThresh int
 	passThresh int
 
@@ -57,7 +57,7 @@ func (p *GHRP) Reset(sets, ways int) {
 	p.ways = ways
 	p.sig = make([]uint64, sets*ways)
 	p.hitSince = make([]bool, sets*ways)
-	p.lru.Reset(sets, ways)
+	p.lru.reset(sets, ways)
 	p.Bypasses, p.DeadEvictions, p.LRUFallbacks = 0, 0, 0
 }
 
@@ -107,7 +107,7 @@ func (p *GHRP) OnHit(set, way int, req *btb.Request) {
 	p.sig[i] = p.signature(req.PC) // stamp before advancing history
 	p.pushHistory(req.PC)
 	p.hitSince[i] = true
-	p.lru.Touch(set, way)
+	p.lru.touch(set, way)
 }
 
 // OnInsert implements btb.Policy.
@@ -116,7 +116,7 @@ func (p *GHRP) OnInsert(set, way int, req *btb.Request) {
 	p.sig[i] = p.signature(req.PC) // stamp before advancing history
 	p.pushHistory(req.PC)
 	p.hitSince[i] = false
-	p.lru.Touch(set, way)
+	p.lru.touch(set, way)
 }
 
 // Victim implements btb.Policy.
@@ -139,7 +139,7 @@ func (p *GHRP) Victim(set int, _ []btb.Entry, req *btb.Request) int {
 	victim := bestWay
 	if bestVote < p.deadThresh {
 		// No confident dead prediction: fall back to LRU.
-		victim = p.lru.LRUWay(set)
+		victim = p.lru.lruWay(set)
 		p.LRUFallbacks++
 	} else {
 		p.DeadEvictions++

@@ -30,7 +30,7 @@ type Hawkeye struct {
 	samplers  map[int]*optgen
 	sampleLog int // sample sets where set % (1<<sampleLog) == 0
 
-	lru btb.LRUCore
+	lru lruState
 
 	averseScratch []int // scratch: averse candidate ways, reused per decision
 
@@ -136,7 +136,7 @@ func (p *Hawkeye) Reset(sets, ways int) {
 	if sets < 8 {
 		p.sampleLog = 0
 	}
-	p.lru.Reset(sets, ways)
+	p.lru.reset(sets, ways)
 	p.averseScratch = make([]int, 0, ways)
 	p.AverseEvictions, p.FriendlyEvictions = 0, 0
 }
@@ -180,7 +180,7 @@ func (p *Hawkeye) OnHit(set, way int, req *btb.Request) {
 	p.observe(set, req.PC)
 	i := set*p.ways + way
 	p.averse[i] = false
-	p.lru.Touch(set, way)
+	p.lru.touch(set, way)
 }
 
 // OnInsert implements btb.Policy.
@@ -189,7 +189,7 @@ func (p *Hawkeye) OnInsert(set, way int, req *btb.Request) {
 	i := set*p.ways + way
 	p.averse[i] = !p.friendly(req.PC)
 	p.pcOf[i] = req.PC
-	p.lru.Touch(set, way)
+	p.lru.touch(set, way)
 }
 
 // Victim implements btb.Policy: evict an averse entry (LRU among them); if
@@ -207,10 +207,10 @@ func (p *Hawkeye) Victim(set int, _ []btb.Entry, _ *btb.Request) int {
 	p.averseScratch = averseWays
 	if len(averseWays) > 0 {
 		p.AverseEvictions++
-		return p.lru.LRUAmong(set, averseWays)
+		return p.lru.lruAmong(set, averseWays)
 	}
 	p.FriendlyEvictions++
-	victim := p.lru.LRUWay(set)
+	victim := p.lru.lruWay(set)
 	// Detrain: OPT would not have evicted a friendly line; the classifier
 	// over-promised for this PC.
 	if ci := p.counterIdx(p.pcOf[base+victim]); p.counters[ci] > 0 {

@@ -16,11 +16,9 @@ import (
 // itself is the furthest-used candidate, it bypasses the BTB — Belady with
 // bypass is optimal for caches, like the BTB, that are not forced to insert
 // on miss.
-//
-// The mechanism lives in btb.OPTCore (shared with the BTB's devirtualized
-// fast path); this type adapts it to btb.Policy.
 type OPT struct {
-	btb.OPTCore
+	nextUse []int // per way: the resident's next-use position
+	ways    int
 }
 
 // NewOPT returns an optimal replacement policy instance.
@@ -29,20 +27,32 @@ func NewOPT() *OPT { return &OPT{} }
 // Name implements btb.Policy.
 func (p *OPT) Name() string { return "OPT" }
 
+// Reset implements btb.Policy.
+func (p *OPT) Reset(sets, ways int) {
+	p.nextUse = make([]int, sets*ways)
+	p.ways = ways
+}
+
 // OnHit implements btb.Policy: refresh the resident's next-use position.
-func (p *OPT) OnHit(set, way int, req *btb.Request) { p.Record(set, way, req) }
+func (p *OPT) OnHit(set, way int, req *btb.Request) { p.nextUse[set*p.ways+way] = req.NextUse }
 
 // OnInsert implements btb.Policy.
-func (p *OPT) OnInsert(set, way int, req *btb.Request) { p.Record(set, way, req) }
+func (p *OPT) OnInsert(set, way int, req *btb.Request) { p.nextUse[set*p.ways+way] = req.NextUse }
 
 // Victim implements btb.Policy: evict (or bypass) the candidate whose next
 // use is furthest in the future.
 func (p *OPT) Victim(set int, _ []btb.Entry, req *btb.Request) int {
-	return p.SelectVictim(set, req)
+	base := set * p.ways
+	victim := btb.Bypass // the incoming branch itself
+	furthest := req.NextUse
+	for w := 0; w < p.ways; w++ {
+		if nu := p.nextUse[base+w]; nu > furthest {
+			furthest = nu
+			victim = w
+		}
+	}
+	return victim
 }
-
-// FastOPT implements btb.OPTFastPath, enabling devirtualized dispatch.
-func (p *OPT) FastOPT() *btb.OPTCore { return &p.OPTCore }
 
 var _ btb.Policy = (*OPT)(nil)
 var _ = trace.NoNextUse // OPT semantics depend on trace.NoNextUse ordering (max int)

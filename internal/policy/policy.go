@@ -4,11 +4,7 @@
 // (Algorithm 1), plus the transient-only/holistic-only ablations of Fig 16.
 //
 // Each policy satisfies btb.Policy and owns all of its per-entry metadata;
-// the BTB stores only architectural state (tags, targets, hint bits). The
-// hot policies (LRU, SRRIP, Thermometer, OPT) embed a concrete core from
-// package btb and expose it through the matching Fast* accessor, which lets
-// the BTB devirtualize their per-access dispatch; the interface methods
-// below delegate to the same core, so both paths share one state.
+// the BTB stores only architectural state (tags, targets, hint bits).
 package policy
 
 import "thermometer/internal/btb"
@@ -20,6 +16,51 @@ import "thermometer/internal/btb"
 // of run, so implementations may build the map on demand.
 type Instrumented interface {
 	TelemetryCounters() map[string]uint64
+}
+
+// lruState is the shared recency building block: per-way last-touch
+// timestamps with a monotonic clock.
+type lruState struct {
+	stamp []uint64
+	ways  int
+	clock uint64
+}
+
+func (l *lruState) reset(sets, ways int) {
+	l.stamp = make([]uint64, sets*ways)
+	l.ways = ways
+	l.clock = 0
+}
+
+// touch marks (set, way) as most recently used.
+func (l *lruState) touch(set, way int) {
+	l.clock++
+	l.stamp[set*l.ways+way] = l.clock
+}
+
+// lruWay returns the least recently touched way of set.
+func (l *lruState) lruWay(set int) int {
+	base := set * l.ways
+	best, bestStamp := 0, l.stamp[base]
+	for w := 1; w < l.ways; w++ {
+		if s := l.stamp[base+w]; s < bestStamp {
+			best, bestStamp = w, s
+		}
+	}
+	return best
+}
+
+// lruAmong returns the least recently touched way among candidates
+// (candidates must be non-empty).
+func (l *lruState) lruAmong(set int, candidates []int) int {
+	base := set * l.ways
+	best := candidates[0]
+	for _, w := range candidates[1:] {
+		if l.stamp[base+w] < l.stamp[base+best] {
+			best = w
+		}
+	}
+	return best
 }
 
 // fifoState tracks insertion order, used by the holistic-only ablation to
@@ -54,7 +95,7 @@ func (f *fifoState) oldestAmong(set int, candidates []int) int {
 
 // LRU is the baseline replacement policy: evict the least recently used way.
 type LRU struct {
-	lru btb.LRUCore
+	lru lruState
 }
 
 // NewLRU returns an LRU policy.
@@ -64,21 +105,18 @@ func NewLRU() *LRU { return &LRU{} }
 func (p *LRU) Name() string { return "LRU" }
 
 // Reset implements btb.Policy.
-func (p *LRU) Reset(sets, ways int) { p.lru.Reset(sets, ways) }
+func (p *LRU) Reset(sets, ways int) { p.lru.reset(sets, ways) }
 
 // OnHit implements btb.Policy.
-func (p *LRU) OnHit(set, way int, _ *btb.Request) { p.lru.Touch(set, way) }
+func (p *LRU) OnHit(set, way int, _ *btb.Request) { p.lru.touch(set, way) }
 
 // OnInsert implements btb.Policy.
-func (p *LRU) OnInsert(set, way int, _ *btb.Request) { p.lru.Touch(set, way) }
+func (p *LRU) OnInsert(set, way int, _ *btb.Request) { p.lru.touch(set, way) }
 
 // Victim implements btb.Policy.
 func (p *LRU) Victim(set int, _ []btb.Entry, _ *btb.Request) int {
-	return p.lru.LRUWay(set)
+	return p.lru.lruWay(set)
 }
-
-// FastLRU implements btb.LRUFastPath, enabling devirtualized dispatch.
-func (p *LRU) FastLRU() *btb.LRUCore { return &p.lru }
 
 // Random evicts a pseudo-randomly chosen way. It exists as a sanity
 // baseline for tests (every reasonable policy should beat it).

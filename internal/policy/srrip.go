@@ -9,11 +9,14 @@ import "thermometer/internal/btb"
 // prediction (RRPV = 2^M − 2); hits promote to "near-immediate" (0);
 // eviction takes the first way whose RRPV is "distant" (2^M − 1), aging the
 // whole set until one exists.
-//
-// The mechanism lives in btb.SRRIPCore (shared with the BTB's devirtualized
-// fast path); this type adapts it to btb.Policy.
 type SRRIP struct {
-	btb.SRRIPCore
+	max  uint8 // distant value = 2^M − 1
+	rrpv []uint8
+	ways int
+
+	// AgingRounds counts whole-set RRPV aging sweeps — a measure of how
+	// often no entry is already predicted distant.
+	AgingRounds uint64
 }
 
 // NewSRRIP returns a 2-bit SRRIP policy (the standard configuration).
@@ -21,27 +24,49 @@ func NewSRRIP() *SRRIP { return NewSRRIPBits(2) }
 
 // NewSRRIPBits returns an SRRIP policy with M-bit RRPVs.
 func NewSRRIPBits(m int) *SRRIP {
-	return &SRRIP{SRRIPCore: btb.NewSRRIPCore(m)}
+	if m < 1 || m > 8 {
+		panic("policy: SRRIP bits out of range")
+	}
+	return &SRRIP{max: uint8(1<<m - 1)}
 }
 
 // Name implements btb.Policy.
 func (p *SRRIP) Name() string { return "SRRIP" }
 
+// Reset implements btb.Policy: every way starts distant.
+func (p *SRRIP) Reset(sets, ways int) {
+	p.rrpv = make([]uint8, sets*ways)
+	for i := range p.rrpv {
+		p.rrpv[i] = p.max
+	}
+	p.ways = ways
+	p.AgingRounds = 0
+}
+
 // OnHit implements btb.Policy: hit promotion to RRPV 0.
-func (p *SRRIP) OnHit(set, way int, _ *btb.Request) { p.Promote(set, way) }
+func (p *SRRIP) OnHit(set, way int, _ *btb.Request) { p.rrpv[set*p.ways+way] = 0 }
 
 // OnInsert implements btb.Policy: insert with a long re-reference interval,
 // so a branch only earns retention by being re-taken (the "BTB-averse until
 // proven friendly" assumption §2.3 describes).
-func (p *SRRIP) OnInsert(set, way int, _ *btb.Request) { p.InsertLong(set, way) }
+func (p *SRRIP) OnInsert(set, way int, _ *btb.Request) { p.rrpv[set*p.ways+way] = p.max - 1 }
 
-// Victim implements btb.Policy.
+// Victim implements btb.Policy: the first way predicted distant, aging the
+// whole set until one exists.
 func (p *SRRIP) Victim(set int, _ []btb.Entry, _ *btb.Request) int {
-	return p.SelectVictim(set)
+	base := set * p.ways
+	for {
+		for w := 0; w < p.ways; w++ {
+			if p.rrpv[base+w] == p.max {
+				return w
+			}
+		}
+		for w := 0; w < p.ways; w++ {
+			p.rrpv[base+w]++
+		}
+		p.AgingRounds++
+	}
 }
-
-// FastSRRIP implements btb.SRRIPFastPath, enabling devirtualized dispatch.
-func (p *SRRIP) FastSRRIP() *btb.SRRIPCore { return &p.SRRIPCore }
 
 // TelemetryCounters implements Instrumented.
 func (p *SRRIP) TelemetryCounters() map[string]uint64 {

@@ -16,12 +16,21 @@ import "thermometer/internal/btb"
 // profile.HintTable, standing in for the bits a compiler would encode into
 // the branch instruction) and are stored per entry by the BTB, matching the
 // 2-bits-per-entry hardware cost computed in §3.4.
-//
-// Algorithm 1 itself lives in btb.ThermometerCore (shared with the BTB's
-// devirtualized fast path); this type adapts it to btb.Policy. The core's
-// Decisions/Covered/Bypasses counters and NoBypass flag are promoted.
 type Thermometer struct {
-	btb.ThermometerCore
+	// NoBypass disables Algorithm 1's bypass (lines 5-6) for the ablation
+	// study of §2.5: a uniquely-coldest incoming branch is then inserted
+	// over the coldest (LRU-tie-broken) resident.
+	NoBypass bool
+
+	// Decisions counts victim selections. A decision is Covered unless
+	// every candidate (residents and the incoming branch) shares one
+	// temperature, in which case Thermometer degenerates to LRU (Fig 15).
+	Decisions uint64
+	Covered   uint64
+	Bypasses  uint64
+
+	lru  lruState
+	cand []int // scratch: candidate ways, reused across decisions
 }
 
 // NewThermometer returns the Thermometer replacement policy.
@@ -30,9 +39,7 @@ func NewThermometer() *Thermometer { return &Thermometer{} }
 // NewThermometerNoBypass returns the §2.5 ablation: temperature-guided
 // eviction without the bypass path.
 func NewThermometerNoBypass() *Thermometer {
-	p := &Thermometer{}
-	p.NoBypass = true
-	return p
+	return &Thermometer{NoBypass: true}
 }
 
 // Name implements btb.Policy.
@@ -43,20 +50,70 @@ func (p *Thermometer) Name() string {
 	return "Thermometer"
 }
 
-// OnHit implements btb.Policy.
-func (p *Thermometer) OnHit(set, way int, _ *btb.Request) { p.Touch(set, way) }
-
-// OnInsert implements btb.Policy.
-func (p *Thermometer) OnInsert(set, way int, _ *btb.Request) { p.Touch(set, way) }
-
-// Victim implements btb.Policy (Algorithm 1).
-func (p *Thermometer) Victim(set int, entries []btb.Entry, req *btb.Request) int {
-	return p.SelectVictimEntries(set, entries, req)
+// Reset implements btb.Policy: clears counters and recency state.
+func (p *Thermometer) Reset(sets, ways int) {
+	p.lru.reset(sets, ways)
+	p.Decisions, p.Covered, p.Bypasses = 0, 0, 0
+	p.cand = make([]int, 0, ways)
 }
 
-// FastThermometer implements btb.ThermometerFastPath, enabling
-// devirtualized dispatch.
-func (p *Thermometer) FastThermometer() *btb.ThermometerCore { return &p.ThermometerCore }
+// OnHit implements btb.Policy (recency only; temperatures live in the BTB
+// entry).
+func (p *Thermometer) OnHit(set, way int, _ *btb.Request) { p.lru.touch(set, way) }
+
+// OnInsert implements btb.Policy.
+func (p *Thermometer) OnInsert(set, way int, _ *btb.Request) { p.lru.touch(set, way) }
+
+// Victim implements btb.Policy (Algorithm 1): the way to evict, or Bypass.
+func (p *Thermometer) Victim(set int, entries []btb.Entry, req *btb.Request) int {
+	p.Decisions++
+
+	coldest := req.Temperature
+	allSame := true
+	for i := range entries {
+		t := entries[i].Temperature
+		if t != req.Temperature {
+			allSame = false
+		}
+		if t < coldest {
+			coldest = t
+		}
+	}
+	if !allSame {
+		p.Covered++
+	}
+
+	p.cand = p.cand[:0]
+	for i := range entries {
+		if entries[i].Temperature == coldest {
+			p.cand = append(p.cand, i)
+		}
+	}
+	if len(p.cand) == 0 {
+		if p.NoBypass || req.Prefetch {
+			// Insert anyway, evicting the coldest (LRU-tie-broken)
+			// resident: either the no-bypass ablation is active, or this
+			// is a prefetcher-initiated fill whose transient evidence of
+			// imminent reuse outweighs the holistic cold hint.
+			coldestResident := entries[0].Temperature
+			for i := range entries {
+				if entries[i].Temperature < coldestResident {
+					coldestResident = entries[i].Temperature
+				}
+			}
+			for i := range entries {
+				if entries[i].Temperature == coldestResident {
+					p.cand = append(p.cand, i)
+				}
+			}
+			return p.lru.lruAmong(set, p.cand)
+		}
+		// The incoming branch is uniquely coldest: bypass (Alg. 1 line 6).
+		p.Bypasses++
+		return btb.Bypass
+	}
+	return p.lru.lruAmong(set, p.cand)
+}
 
 // Coverage returns the fraction of replacement decisions where the
 // temperature hint discriminated between candidates (Fig 15's metric).
