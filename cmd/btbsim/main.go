@@ -53,35 +53,6 @@ import (
 // (when built from a checkout) is appended from debug.ReadBuildInfo.
 const version = "1.1.0"
 
-func policyNames() []string {
-	names := []string{"lru", "random", "srrip", "ghrp", "hawkeye", "opt", "thermometer", "holistic"}
-	sort.Strings(names)
-	return names
-}
-
-func policyByName(name string) (func() btb.Policy, bool) {
-	switch name {
-	case "lru":
-		return func() btb.Policy { return policy.NewLRU() }, true
-	case "random":
-		return func() btb.Policy { return policy.NewRandom() }, true
-	case "srrip":
-		return func() btb.Policy { return policy.NewSRRIP() }, true
-	case "ghrp":
-		return func() btb.Policy { return policy.NewGHRP() }, true
-	case "hawkeye":
-		return func() btb.Policy { return policy.NewHawkeye() }, true
-	case "opt":
-		return func() btb.Policy { return policy.NewOPT() }, true
-	case "thermometer":
-		return func() btb.Policy { return policy.NewThermometer() }, true
-	case "holistic":
-		return func() btb.Policy { return policy.NewHolisticOnly() }, true
-	default:
-		return nil, false
-	}
-}
-
 func buildString() string {
 	s := version + " go=" + runtime.Version()
 	if bi, ok := debug.ReadBuildInfo(); ok {
@@ -97,7 +68,7 @@ func buildString() string {
 func main() {
 	var (
 		tracePath = flag.String("trace", "", "input trace file (required)")
-		polName   = flag.String("policy", "lru", "replacement policy: "+strings.Join(policyNames(), ", "))
+		polName   = flag.String("policy", "lru", "replacement policy: "+strings.Join(policy.Names(), ", "))
 		hintsPath = flag.String("hints", "", "Thermometer hint file (from thermprof)")
 		entries   = flag.Int("entries", 8192, "BTB entries")
 		ways      = flag.Int("ways", 4, "BTB ways")
@@ -155,9 +126,9 @@ func main() {
 		fatalf("invalid trace %s: %v", *tracePath, err)
 	}
 
-	newPolicy, ok := policyByName(*polName)
-	if !ok {
-		fatalf("unknown policy %q (choose one of: %s)", *polName, strings.Join(policyNames(), ", "))
+	newPolicy, err := policy.ByName(*polName)
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	cfg := core.DefaultConfig()
@@ -191,7 +162,7 @@ func main() {
 			fatalf("read hints %s: %v", *hintsPath, err)
 		}
 		cfg.Hints = ht
-		if *polName != "thermometer" && *polName != "holistic" {
+		if *polName != "thermometer" && *polName != "thermometer-nobypass" && *polName != "holistic" {
 			fmt.Fprintf(os.Stderr, "btbsim: warning: -hints given but policy %q ignores temperature hints\n", *polName)
 		}
 	}

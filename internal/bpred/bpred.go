@@ -94,26 +94,6 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// Oracle is the perfect direction predictor used in limit studies (Fig 2).
-// The simulator primes it with the resolved outcome before Predict.
-type Oracle struct{ next bool }
-
-// NewOracle returns a perfect predictor.
-func NewOracle() *Oracle { return &Oracle{} }
-
-// Name implements Predictor.
-func (o *Oracle) Name() string { return "perfect" }
-
-// SetOutcome primes the oracle with the branch's actual direction.
-func (o *Oracle) SetOutcome(taken bool) { o.next = taken }
-
-// Predict implements Predictor.
-func (o *Oracle) Predict(uint64) bool { return o.next }
-
-// Update implements Predictor.
-func (o *Oracle) Update(uint64, bool) {}
-
 var _ Predictor = (*Bimodal)(nil)
 var _ Predictor = (*Gshare)(nil)
-var _ Predictor = (*Oracle)(nil)
 var _ = xrand.Mix64 // used by tage.go in this package

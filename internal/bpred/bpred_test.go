@@ -140,21 +140,6 @@ func TestTAGEMispredictRate(t *testing.T) {
 	}
 }
 
-func TestOracle(t *testing.T) {
-	o := NewOracle()
-	o.SetOutcome(true)
-	if !o.Predict(1) {
-		t.Fatal("oracle wrong")
-	}
-	o.SetOutcome(false)
-	if o.Predict(1) {
-		t.Fatal("oracle wrong")
-	}
-	if o.Name() != "perfect" {
-		t.Fatal("name")
-	}
-}
-
 func TestPredictorNames(t *testing.T) {
 	if NewBimodal(4).Name() != "bimodal" || NewGshare(4).Name() != "gshare" || NewTAGE().Name() != "tage" {
 		t.Fatal("names wrong")

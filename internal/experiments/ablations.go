@@ -20,49 +20,29 @@ func init() {
 //
 // Reported as speedup (%) over LRU on a subset of applications.
 func Ablations(c *Context) []*Table {
-	t := &Table{
+	cfg := core.DefaultConfig()
+	coldCfg := profile.DefaultConfig()
+	coldCfg.DefaultCategory = profile.Cold
+	return c.appTable(&Table{
 		ID:    "ablations",
 		Title: "Design-choice ablations: speedup (%) over LRU",
 		Header: []string{"app", "Thermometer", "no-bypass", "FIFO-ties",
 			"cold-default"},
-	}
-	cfg := core.DefaultConfig()
-	apps := []string{"cassandra", "mediawiki", "tomcat", "wordpress"}
-	allVals := make([][4]float64, len(apps))
-	c.forEach(len(apps), func(i int) {
-		app := apps[i]
+		Notes: []string{"bypass (Alg. 1 line 5-6) is load-bearing (~2pp of speedup); the tie-break choice and the unprofiled-branch fallback matter little when the profile matches the input"},
+	}, []string{"cassandra", "mediawiki", "tomcat", "wordpress"}, false, func(app string) []float64 {
 		tr := c.AppTrace(app, 0)
 		ht := c.Hints(app, 0, cfg.BTBEntries, cfg.BTBWays, profile.DefaultConfig())
-		coldCfg := profile.DefaultConfig()
-		coldCfg.DefaultCategory = profile.Cold
 		htCold := c.Hints(app, 0, cfg.BTBEntries, cfg.BTBWays, coldCfg)
 
 		lru := runPolicy(tr, nil, nil, nil)
 		sp := func(newPolicy func() btb.Policy, hints *profile.HintTable) float64 {
 			return core.Speedup(lru, runPolicy(tr, newPolicy, hints, nil))
 		}
-		allVals[i] = [4]float64{
-			sp(func() btb.Policy { return policy.NewThermometer() }, ht),
+		return []float64{
+			sp(thermNew, ht),
 			sp(func() btb.Policy { return policy.NewThermometerNoBypass() }, ht),
 			sp(func() btb.Policy { return policy.NewHolisticOnly() }, ht),
-			sp(func() btb.Policy { return policy.NewThermometer() }, htCold),
+			sp(thermNew, htCold),
 		}
 	})
-	var sums [4]float64
-	for i, app := range apps {
-		row := []string{app}
-		for j, v := range allVals[i] {
-			sums[j] += v
-			row = append(row, pct(v))
-		}
-		t.AddRow(row...)
-	}
-	row := []string{"Avg"}
-	for _, s := range sums {
-		row = append(row, pct(s/float64(len(apps))))
-	}
-	t.AddRow(row...)
-	t.Notes = append(t.Notes,
-		"bypass (Alg. 1 line 5-6) is load-bearing (~2pp of speedup); the tie-break choice and the unprofiled-branch fallback matter little when the profile matches the input")
-	return []*Table{t}
 }

@@ -5,7 +5,7 @@
 //
 // All experiments accept a Context, which fixes the trace scale (full-length
 // traces for the record, shorter ones for quick runs) and caches generated
-// traces and profiles across experiments.
+// traces across experiments; hint tables are memoized on those traces.
 package experiments
 
 import (
@@ -130,26 +130,21 @@ type Context struct {
 	Ctx context.Context
 
 	// Telemetry, when non-nil, collects sweep-level metrics: per-experiment
-	// wall time, trace/hint cache traffic. cmd/paperfigs wires it for its
+	// wall time, trace cache traffic. cmd/paperfigs wires it for its
 	// -metrics and -http flags; nil disables collection.
 	Telemetry *telemetry.Registry
 
 	mu     sync.Mutex
 	traces map[string]*ctxTraceSlot // guarded by mu
-	hints  map[string]*ctxHintSlot  // guarded by mu
 }
 
-// Single-flight cache slots: the goroutine that creates a slot under c.mu
-// counts the miss and every other requester blocks on the Once instead of
-// regenerating, so cache counters stay deterministic at any pool width.
+// ctxTraceSlot is a single-flight cache slot: the goroutine that creates a
+// slot under c.mu counts the miss and every other requester blocks on the
+// Once instead of regenerating, so cache counters stay deterministic at any
+// pool width.
 type ctxTraceSlot struct {
 	once sync.Once
 	tr   *trace.Trace
-}
-
-type ctxHintSlot struct {
-	once sync.Once
-	ht   *profile.HintTable
 }
 
 // forEach runs fn(0..n-1) on the context's worker pool with serial
@@ -182,6 +177,45 @@ func (c *Context) forEach(n int, fn func(i int)) {
 	}
 }
 
+// appTable completes t with one row per app plus the Avg rows and returns
+// it as the figure's only table. row computes one app's values on the
+// worker pool; the rows and sums are then assembled serially in app order,
+// so the floating-point sums, and the table, are the same at any pool
+// width. Every value renders as a percentage. Each Avg cell is the
+// arithmetic mean of its column's per-app values: the paper's Avg rows
+// average percentage speedups and are not geometric means. noVerilator
+// puts an "Avg no verilator" row before Avg, for the figures that leave
+// out verilator's outlier instruction misses (Fig 3).
+func (c *Context) appTable(t *Table, apps []string, noVerilator bool, row func(app string) []float64) []*Table {
+	vals := make([][]float64, len(apps))
+	c.forEach(len(apps), func(i int) { vals[i] = row(apps[i]) })
+	sums := make([]float64, len(t.Header)-1)
+	sumsNoVeri := make([]float64, len(sums))
+	for i, app := range apps {
+		cells := []string{app}
+		for j, v := range vals[i] {
+			sums[j] += v
+			if app != "verilator" {
+				sumsNoVeri[j] += v
+			}
+			cells = append(cells, pct(v))
+		}
+		t.AddRow(cells...)
+	}
+	avg := func(label string, sums []float64, n int) {
+		cells := []string{label}
+		for _, s := range sums {
+			cells = append(cells, pct(s/float64(n)))
+		}
+		t.AddRow(cells...)
+	}
+	if noVerilator {
+		avg("Avg no verilator", sumsNoVeri, len(apps)-1)
+	}
+	avg("Avg", sums, len(apps))
+	return []*Table{t}
+}
+
 // count bumps a telemetry counter if collection is enabled.
 func (c *Context) count(name string) {
 	if c.Telemetry != nil {
@@ -212,11 +246,7 @@ func NewContext(scale int) *Context {
 	if scale < 1 {
 		scale = 1
 	}
-	return &Context{
-		Scale:  scale,
-		traces: make(map[string]*ctxTraceSlot),
-		hints:  make(map[string]*ctxHintSlot),
-	}
+	return &Context{Scale: scale, traces: make(map[string]*ctxTraceSlot)}
 }
 
 // AppTrace returns (and caches) the trace for an application input.
@@ -247,33 +277,15 @@ func (c *Context) AppTrace(name string, input int) *trace.Trace {
 	return slot.tr
 }
 
-// Hints returns (and caches) the Thermometer hint table for an app input
-// under the given geometry and profile configuration, single-flighting
-// concurrent requests like AppTrace.
+// Hints returns the Thermometer hint table for an app input under the given
+// geometry and profile configuration, memoized on the input's trace
+// (profile.HintsFor).
 func (c *Context) Hints(name string, input, entries, ways int, cfg profile.Config) *profile.HintTable {
-	key := fmt.Sprintf("%s#%d@%dx%d:%v:%d", name, input, entries, ways, cfg.Thresholds, cfg.DefaultCategory)
-	c.mu.Lock()
-	slot, ok := c.hints[key]
-	if !ok {
-		slot = &ctxHintSlot{}
-		c.hints[key] = slot
-		c.count("hint_cache_misses")
-	} else {
-		c.count("hint_cache_hits")
+	ht, err := profile.HintsFor(c.AppTrace(name, input), entries, ways, cfg)
+	if err != nil {
+		panic(err)
 	}
-	c.mu.Unlock()
-	slot.once.Do(func() {
-		tr := c.AppTrace(name, input)
-		ht, _, err := profile.ProfileTrace(tr, entries, ways, cfg)
-		if err != nil {
-			panic(err)
-		}
-		slot.ht = ht
-	})
-	if slot.ht == nil {
-		panic("experiments: hint profiling for " + key + " previously failed")
-	}
-	return slot.ht
+	return ht
 }
 
 // cbp5Count returns the number of CBP-5 traces to run.
@@ -382,14 +394,6 @@ func TableOne(*Context) []*Table {
 		t.AddRow(row[0], row[1])
 	}
 	return []*Table{t}
-}
-
-// optSpeedup computes the OPT policy's speedup over LRU for a trace
-// (shared by several figures).
-func optSpeedup(tr *trace.Trace) (lru, opt *core.Result, speedup float64) {
-	lru = runPolicy(tr, nil, nil, nil)
-	opt = runPolicy(tr, func() btb.Policy { return policy.NewOPT() }, nil, nil)
-	return lru, opt, core.Speedup(lru, opt)
 }
 
 // beladyResult profiles a trace under the default geometry.

@@ -7,7 +7,6 @@ import (
 	"thermometer/internal/core"
 	"thermometer/internal/detmap"
 	"thermometer/internal/metrics"
-	"thermometer/internal/policy"
 	"thermometer/internal/prefetch"
 	"thermometer/internal/profile"
 	"thermometer/internal/workload"
@@ -16,71 +15,42 @@ import (
 // Fig1 — speedup of state-of-the-art BTB replacement policies (and OPT)
 // over the LRU baseline, per application.
 func Fig1(c *Context) []*Table {
-	t := &Table{
+	return c.appTable(&Table{
 		ID:     "fig1",
 		Title:  "Speedup (%) of SRRIP/GHRP/Hawkeye/OPT over LRU (with FDIP)",
 		Header: []string{"app", "SRRIP", "GHRP", "Hawkeye", "OPT"},
-	}
-	apps := workload.AppNames()
-	vals := make([][4]float64, len(apps))
-	c.forEach(len(apps), func(i int) {
-		tr := c.AppTrace(apps[i], 0)
+		Notes:  []string{"paper: prior policies avg 1.5%, OPT avg 10.4%"},
+	}, workload.AppNames(), false, func(app string) []float64 {
+		tr := c.AppTrace(app, 0)
 		lru := runPolicy(tr, nil, nil, nil)
-		for j, pf := range policyFactories() {
-			vals[i][j] = core.Speedup(lru, runPolicy(tr, pf.New, nil, nil))
+		var vals []float64
+		for _, pf := range policyFactories() {
+			vals = append(vals, core.Speedup(lru, runPolicy(tr, pf.New, nil, nil)))
 		}
-		opt := runPolicy(tr, func() btb.Policy { return policy.NewOPT() }, nil, nil)
-		vals[i][3] = core.Speedup(lru, opt)
+		return append(vals, core.Speedup(lru, runPolicy(tr, optNew, nil, nil)))
 	})
-	sums := make([]float64, 4)
-	for i, app := range apps {
-		row := []string{app}
-		for j, sp := range vals[i] {
-			sums[j] += sp
-			row = append(row, pct(sp))
-		}
-		t.AddRow(row...)
-	}
-	n := float64(len(apps))
-	t.AddRow("Avg", pct(sums[0]/n), pct(sums[1]/n), pct(sums[2]/n), pct(sums[3]/n))
-	t.Notes = append(t.Notes, "paper: prior policies avg 1.5%, OPT avg 10.4%")
-	return []*Table{t}
 }
 
 // Fig2 — limit study: perfect BTB vs perfect direction prediction vs
 // perfect I-cache.
 func Fig2(c *Context) []*Table {
-	t := &Table{
+	return c.appTable(&Table{
 		ID:     "fig2",
 		Title:  "Limit study speedup (%) over the realistic baseline",
 		Header: []string{"app", "Perfect-BTB", "Perfect-BP", "Perfect-I-Cache"},
-	}
-	apps := workload.AppNames()
-	vals := make([][3]float64, len(apps))
-	c.forEach(len(apps), func(i int) {
-		tr := c.AppTrace(apps[i], 0)
+		Notes:  []string{"paper: perfect BTB 63.2%, perfect BP 11.3%, perfect I-cache 21.5%"},
+	}, workload.AppNames(), false, func(app string) []float64 {
+		tr := c.AppTrace(app, 0)
 		base := runPolicy(tr, nil, nil, nil)
-		for j, mut := range []func(*core.Config){
-			func(cfg *core.Config) { cfg.PerfectBTB = true },
-			func(cfg *core.Config) { cfg.PerfectBP = true },
-			func(cfg *core.Config) { cfg.PerfectICache = true },
-		} {
-			vals[i][j] = core.Speedup(base, runPolicy(tr, nil, nil, mut))
+		sp := func(mut func(*core.Config)) float64 {
+			return core.Speedup(base, runPolicy(tr, nil, nil, mut))
+		}
+		return []float64{
+			sp(func(cfg *core.Config) { cfg.PerfectBTB = true }),
+			sp(func(cfg *core.Config) { cfg.PerfectBP = true }),
+			sp(func(cfg *core.Config) { cfg.PerfectICache = true }),
 		}
 	})
-	var sums [3]float64
-	for i, app := range apps {
-		row := []string{app}
-		for j, sp := range vals[i] {
-			sums[j] += sp
-			row = append(row, pct(sp))
-		}
-		t.AddRow(row...)
-	}
-	n := float64(len(apps))
-	t.AddRow("Avg", pct(sums[0]/n), pct(sums[1]/n), pct(sums[2]/n))
-	t.Notes = append(t.Notes, "paper: perfect BTB 63.2%, perfect BP 11.3%, perfect I-cache 21.5%")
-	return []*Table{t}
 }
 
 // Fig3 — L2 instruction misses per kilo-instruction per application.
@@ -105,57 +75,33 @@ func Fig3(c *Context) []*Table {
 // Fig4 — BTB prefetching (Confluence/Shotgun) with LRU and OPT replacement
 // vs the perfect BTB.
 func Fig4(c *Context) []*Table {
-	t := &Table{
+	return c.appTable(&Table{
 		ID:    "fig4",
 		Title: "Speedup (%) of BTB prefetchers and OPT over LRU (no prefetch)",
 		Header: []string{"app", "Confluence-LRU", "Shotgun-LRU", "OPT",
 			"Confluence-OPT", "Shotgun-OPT", "Perfect-BTB"},
-	}
-	optNew := func() btb.Policy { return policy.NewOPT() }
-	apps := workload.AppNames()
-	vals := make([][6]float64, len(apps))
-	c.forEach(len(apps), func(i int) {
-		tr := c.AppTrace(apps[i], 0)
+		Notes: []string{"paper: Confluence-LRU 1.4% mean, Shotgun-LRU slight slowdown, OPT 10.4%, Perfect-BTB 63.2%"},
+	}, workload.AppNames(), false, func(app string) []float64 {
+		tr := c.AppTrace(app, 0)
 		meta := core.MetaFor(tr)
 		base := runPolicy(tr, nil, nil, nil)
-		sp := func(r *core.Result) float64 { return core.Speedup(base, r) }
-
-		confLRU := runPolicy(tr, nil, nil, func(cfg *core.Config) {
-			cfg.Prefetcher = prefetch.NewConfluence(meta)
-		})
-		shotLRU := runPolicy(tr, nil, nil, func(cfg *core.Config) {
-			cfg.Prefetcher = prefetch.NewShotgun(meta)
-			cfg.ShotgunPartition = true
-		})
-		opt := runPolicy(tr, optNew, nil, nil)
-		confOPT := runPolicy(tr, optNew, nil, func(cfg *core.Config) {
-			cfg.Prefetcher = prefetch.NewConfluence(meta)
-		})
-		shotOPT := runPolicy(tr, optNew, nil, func(cfg *core.Config) {
-			cfg.Prefetcher = prefetch.NewShotgun(meta)
-			cfg.ShotgunPartition = true
-		})
-		perf := runPolicy(tr, nil, nil, func(cfg *core.Config) { cfg.PerfectBTB = true })
-		vals[i] = [6]float64{sp(confLRU), sp(shotLRU), sp(opt), sp(confOPT), sp(shotOPT), sp(perf)}
-	})
-	var sums [6]float64
-	for i, app := range apps {
-		row := []string{app}
-		for j, v := range vals[i] {
-			sums[j] += v
-			row = append(row, pct(v))
+		sp := func(newPolicy func() btb.Policy, mut func(*core.Config)) float64 {
+			return core.Speedup(base, runPolicy(tr, newPolicy, nil, mut))
 		}
-		t.AddRow(row...)
-	}
-	n := float64(len(apps))
-	avg := []string{"Avg"}
-	for _, s := range sums {
-		avg = append(avg, pct(s/n))
-	}
-	t.AddRow(avg...)
-	t.Notes = append(t.Notes,
-		"paper: Confluence-LRU 1.4% mean, Shotgun-LRU slight slowdown, OPT 10.4%, Perfect-BTB 63.2%")
-	return []*Table{t}
+		confluence := func(cfg *core.Config) { cfg.Prefetcher = prefetch.NewConfluence(meta) }
+		shotgun := func(cfg *core.Config) {
+			cfg.Prefetcher = prefetch.NewShotgun(meta)
+			cfg.ShotgunPartition = true
+		}
+		return []float64{
+			sp(nil, confluence),
+			sp(nil, shotgun),
+			sp(optNew, nil),
+			sp(optNew, confluence),
+			sp(optNew, shotgun),
+			sp(nil, func(cfg *core.Config) { cfg.PerfectBTB = true }),
+		}
+	})
 }
 
 // Fig5 — average transient vs holistic reuse-distance variance.
@@ -307,16 +253,14 @@ func Fig8(c *Context) []*Table {
 // Fig9 — bypass ratio (% of misses not inserted by OPT) per temperature
 // category.
 func Fig9(c *Context) []*Table {
-	t := &Table{
+	pcfg := profile.DefaultConfig()
+	return c.appTable(&Table{
 		ID:     "fig9",
 		Title:  "OPT bypass ratio (%) by temperature category",
 		Header: []string{"app", "cold", "warm", "hot"},
-	}
-	pcfg := profile.DefaultConfig()
-	apps := workload.AppNames()
-	vals := make([][3]float64, len(apps))
-	c.forEach(len(apps), func(i int) {
-		res := beladyResult(c.AppTrace(apps[i], 0))
+		Notes:  []string{"paper: cold branches bypassed in >50% of cases; hot branches almost always inserted"},
+	}, workload.AppNames(), false, func(app string) []float64 {
+		res := beladyResult(c.AppTrace(app, 0))
 		var byp, miss [3]float64
 		for _, pc := range detmap.SortedKeys(res.PerBranch) {
 			b := res.PerBranch[pc]
@@ -324,24 +268,12 @@ func Fig9(c *Context) []*Table {
 			byp[cat] += float64(b.Bypasses)
 			miss[cat] += float64(b.Bypasses + b.Inserts)
 		}
-		for j := 0; j < 3; j++ {
+		vals := make([]float64, 3)
+		for j := range vals {
 			if miss[j] > 0 {
-				vals[i][j] = byp[j] / miss[j]
+				vals[j] = byp[j] / miss[j]
 			}
 		}
+		return vals
 	})
-	var sums [3]float64
-	for i, app := range apps {
-		row := []string{app}
-		for j, v := range vals[i] {
-			sums[j] += v
-			row = append(row, pct(v))
-		}
-		t.AddRow(row...)
-	}
-	n := float64(len(apps))
-	t.AddRow("Avg", pct(sums[0]/n), pct(sums[1]/n), pct(sums[2]/n))
-	t.Notes = append(t.Notes,
-		"paper: cold branches bypassed in >50% of cases; hot branches almost always inserted")
-	return []*Table{t}
 }

@@ -21,115 +21,62 @@ func optNew() btb.Policy { return policy.NewOPT() }
 // Fig11 — Thermometer's IPC speedup (including the storage-equalized
 // 7979-entry variant) vs prior policies and OPT.
 func Fig11(c *Context) []*Table {
-	t := &Table{
+	cfg := core.DefaultConfig()
+	return c.appTable(&Table{
 		ID:    "fig11",
 		Title: "Speedup (%) over LRU: Thermometer vs prior policies and OPT",
 		Header: []string{"app", "SRRIP", "GHRP", "Hawkeye", "Thermometer",
 			"Therm-7979", "OPT"},
-	}
-	cfg := core.DefaultConfig()
-	apps := workload.AppNames()
-	allVals := make([][6]float64, len(apps))
-	c.forEach(len(apps), func(i int) {
-		app := apps[i]
+		Notes: []string{"paper: Thermometer 8.7% avg (83.6% of OPT's 10.4%); prior best 1.5%"},
+	}, workload.AppNames(), true, func(app string) []float64 {
 		tr := c.AppTrace(app, 0)
-		ht := c.Hints(app, 0, cfg.BTBEntries, cfg.BTBWays, profile.DefaultConfig())
 		lru := runPolicy(tr, nil, nil, nil)
 		sp := func(r *core.Result) float64 { return core.Speedup(lru, r) }
 
-		var vals [6]float64
-		for j, pf := range policyFactories() {
-			vals[j] = sp(runPolicy(tr, pf.New, nil, nil))
+		var vals []float64
+		for _, pf := range policyFactories() {
+			vals = append(vals, sp(runPolicy(tr, pf.New, nil, nil)))
 		}
-		vals[3] = sp(runPolicy(tr, thermNew, ht, nil))
+		ht := c.Hints(app, 0, cfg.BTBEntries, cfg.BTBWays, profile.DefaultConfig())
 		// 7979-entry variant: same storage, 2 bits spent per entry
 		// (1994 sets × 4 ways), with hints profiled for that geometry.
-		ht7979, _, err := profile.ProfileTrace(tr, 7979, cfg.BTBWays, profile.DefaultConfig())
-		if err != nil {
-			panic(err)
-		}
-		vals[4] = sp(runPolicy(tr, thermNew, ht7979, func(cc *core.Config) {
-			cc.BTBSets = 7979 / cc.BTBWays
-		}))
-		vals[5] = sp(runPolicy(tr, optNew, nil, nil))
-		allVals[i] = vals
+		ht7979 := c.Hints(app, 0, 7979, cfg.BTBWays, profile.DefaultConfig())
+		return append(vals,
+			sp(runPolicy(tr, thermNew, ht, nil)),
+			sp(runPolicy(tr, thermNew, ht7979, func(cc *core.Config) {
+				cc.BTBSets = 7979 / cc.BTBWays
+			})),
+			sp(runPolicy(tr, optNew, nil, nil)))
 	})
-	var sums [6]float64
-	var sumsNoVeri [6]float64
-	for i, app := range apps {
-		row := []string{app}
-		for j, v := range allVals[i] {
-			sums[j] += v
-			if app != "verilator" {
-				sumsNoVeri[j] += v
-			}
-			row = append(row, pct(v))
-		}
-		t.AddRow(row...)
-	}
-	n := float64(len(apps))
-	row := []string{"Avg no verilator"}
-	for _, s := range sumsNoVeri {
-		row = append(row, pct(s/(n-1)))
-	}
-	t.AddRow(row...)
-	row = []string{"Avg"}
-	for _, s := range sums {
-		row = append(row, pct(s/n))
-	}
-	t.AddRow(row...)
-	t.Notes = append(t.Notes,
-		"paper: Thermometer 8.7% avg (83.6% of OPT's 10.4%); prior best 1.5%")
-	return []*Table{t}
 }
 
 // Fig12 — BTB miss reduction over LRU.
 func Fig12(c *Context) []*Table {
-	t := &Table{
+	cfg := core.DefaultConfig()
+	return c.appTable(&Table{
 		ID:     "fig12",
 		Title:  "BTB miss reduction (%) over LRU",
 		Header: []string{"app", "SRRIP", "GHRP", "Hawkeye", "Thermometer", "OPT"},
-	}
-	cfg := core.DefaultConfig()
-	apps := workload.AppNames()
-	allVals := make([][5]float64, len(apps))
-	c.forEach(len(apps), func(i int) {
-		app := apps[i]
-		tr := c.AppTrace(app, 0)
-		acc := tr.AccessStream()
+		Notes:  []string{"paper: Thermometer 21.3%, OPT 34%, prior best 6.7%"},
+	}, workload.AppNames(), false, func(app string) []float64 {
+		acc := c.AppTrace(app, 0).AccessStream()
 		ht := c.Hints(app, 0, cfg.BTBEntries, cfg.BTBWays, profile.DefaultConfig())
-		base := replay.Run(acc, replay.Options{Entries: cfg.BTBEntries, Ways: cfg.BTBWays, Policy: policy.NewLRU()})
-		red := func(m uint64) float64 {
-			return (float64(base.Stats.Misses) - float64(m)) / float64(base.Stats.Misses)
+		misses := func(p btb.Policy, hints *profile.HintTable) uint64 {
+			r := replay.Run(acc, replay.Options{
+				Entries: cfg.BTBEntries, Ways: cfg.BTBWays, Policy: p, Hints: hints,
+			})
+			return r.Stats.Misses
 		}
-		var vals [5]float64
-		for j, pf := range policyFactories() {
-			r := replay.Run(acc, replay.Options{Entries: cfg.BTBEntries, Ways: cfg.BTBWays, Policy: pf.New()})
-			vals[j] = red(r.Stats.Misses)
+		base := misses(policy.NewLRU(), nil)
+		red := func(m uint64) float64 { return (float64(base) - float64(m)) / float64(base) }
+		var vals []float64
+		for _, pf := range policyFactories() {
+			vals = append(vals, red(misses(pf.New(), nil)))
 		}
-		th := replay.Run(acc, replay.Options{Entries: cfg.BTBEntries, Ways: cfg.BTBWays, Policy: policy.NewThermometer(), Hints: ht})
-		vals[3] = red(th.Stats.Misses)
-		opt := belady.Profile(acc, cfg.BTBEntries, cfg.BTBWays)
-		vals[4] = red(opt.Misses)
-		allVals[i] = vals
+		return append(vals,
+			red(misses(policy.NewThermometer(), ht)),
+			red(belady.Profile(acc, cfg.BTBEntries, cfg.BTBWays).Misses))
 	})
-	var sums [5]float64
-	for i, app := range apps {
-		row := []string{app}
-		for j, v := range allVals[i] {
-			sums[j] += v
-			row = append(row, pct(v))
-		}
-		t.AddRow(row...)
-	}
-	n := float64(len(apps))
-	row := []string{"Avg"}
-	for _, s := range sums {
-		row = append(row, pct(s/n))
-	}
-	t.AddRow(row...)
-	t.Notes = append(t.Notes, "paper: Thermometer 21.3%, OPT 34%, prior best 6.7%")
-	return []*Table{t}
 }
 
 // Fig13 — generalization across application inputs: speedup as a
@@ -228,46 +175,32 @@ func Fig14(c *Context) []*Table {
 // Fig15 — Thermometer replacement coverage: the fraction of replacement
 // decisions where the temperature hint discriminated between candidates.
 func Fig15(c *Context) []*Table {
-	t := &Table{
+	cfg := core.DefaultConfig()
+	return c.appTable(&Table{
 		ID:     "fig15",
 		Title:  "Thermometer replacement coverage (%)",
 		Header: []string{"app", "coverage"},
-	}
-	cfg := core.DefaultConfig()
-	apps := workload.AppNames()
-	covs := make([]float64, len(apps))
-	c.forEach(len(apps), func(i int) {
-		tr := c.AppTrace(apps[i], 0)
-		ht := c.Hints(apps[i], 0, cfg.BTBEntries, cfg.BTBWays, profile.DefaultConfig())
-		r := runPolicy(tr, thermNew, ht, nil)
-		covs[i] = r.Policy.(*policy.Thermometer).Coverage()
+		Notes:  []string{"paper: 61.4% average coverage"},
+	}, workload.AppNames(), false, func(app string) []float64 {
+		ht := c.Hints(app, 0, cfg.BTBEntries, cfg.BTBWays, profile.DefaultConfig())
+		r := runPolicy(c.AppTrace(app, 0), thermNew, ht, nil)
+		return []float64{r.Policy.(*policy.Thermometer).Coverage()}
 	})
-	sum := 0.0
-	for i, app := range apps {
-		sum += covs[i]
-		t.AddRow(app, pct(covs[i]))
-	}
-	t.AddRow("Avg", pct(sum/float64(len(apps))))
-	t.Notes = append(t.Notes, "paper: 61.4% average coverage")
-	return []*Table{t}
 }
 
 // Fig16 — replacement accuracy of transient-only, holistic-only, and
 // combined (Thermometer) policies: % of victims whose forward reuse
 // distance is at least the associativity.
 func Fig16(c *Context) []*Table {
-	t := &Table{
+	cfg := core.DefaultConfig()
+	return c.appTable(&Table{
 		ID:     "fig16",
 		Title:  "Replacement accuracy (%): transient vs holistic vs Thermometer",
 		Header: []string{"app", "Transient", "Holistic", "Thermometer"},
-	}
-	cfg := core.DefaultConfig()
-	apps := workload.AppNames()
-	allVals := make([][3]float64, len(apps))
-	c.forEach(len(apps), func(i int) {
-		tr := c.AppTrace(apps[i], 0)
-		acc := tr.AccessStream()
-		ht := c.Hints(apps[i], 0, cfg.BTBEntries, cfg.BTBWays, profile.DefaultConfig())
+		Notes:  []string{"paper: transient 46.06%, holistic 63.72%, Thermometer 68.20% (OPT is 100% by construction)"},
+	}, workload.AppNames(), false, func(app string) []float64 {
+		acc := c.AppTrace(app, 0).AccessStream()
+		ht := c.Hints(app, 0, cfg.BTBEntries, cfg.BTBWays, profile.DefaultConfig())
 		run := func(p btb.Policy, hints *profile.HintTable) float64 {
 			r := replay.Run(acc, replay.Options{
 				Entries: cfg.BTBEntries, Ways: cfg.BTBWays,
@@ -275,24 +208,10 @@ func Fig16(c *Context) []*Table {
 			})
 			return replay.Accuracy(acc, r)
 		}
-		allVals[i] = [3]float64{
+		return []float64{
 			run(policy.NewTransientOnly(), nil),
 			run(policy.NewHolisticOnly(), ht),
 			run(policy.NewThermometer(), ht),
 		}
 	})
-	var sums [3]float64
-	for i, app := range apps {
-		row := []string{app}
-		for j, v := range allVals[i] {
-			sums[j] += v
-			row = append(row, pct(v))
-		}
-		t.AddRow(row...)
-	}
-	n := float64(len(apps))
-	t.AddRow("Avg", pct(sums[0]/n), pct(sums[1]/n), pct(sums[2]/n))
-	t.Notes = append(t.Notes,
-		"paper: transient 46.06%, holistic 63.72%, Thermometer 68.20% (OPT is 100% by construction)")
-	return []*Table{t}
 }

@@ -16,14 +16,10 @@ var sensApps = []string{"cassandra", "drupal", "tomcat"}
 
 // fracOfOPT returns Thermometer's and SRRIP's speedup as a percentage of
 // the OPT speedup for the given geometry/config mutation. Hints are
-// re-profiled for the geometry under test (the BTB-size dependency of
-// §3.4).
+// profiled for the geometry under test (the BTB-size dependency of §3.4).
 func fracOfOPT(c *Context, app string, entries, ways int, mut func(*core.Config)) (therm, srrip float64) {
 	tr := c.AppTrace(app, 0)
-	ht, _, err := profile.ProfileTrace(tr, entries, ways, profile.DefaultConfig())
-	if err != nil {
-		panic(err)
-	}
+	ht := c.Hints(app, 0, entries, ways, profile.DefaultConfig())
 	geo := func(cc *core.Config) {
 		cc.BTBEntries = entries
 		cc.BTBWays = ways
@@ -133,10 +129,7 @@ func Fig20(c *Context) []*Table {
 				DefaultCategory: uint8(cats / 2),
 			}
 		}
-		ht, _, err := profile.ProfileTrace(tr, cfg.BTBEntries, cfg.BTBWays, pcfg)
-		if err != nil {
-			panic(err)
-		}
+		ht := c.Hints(sensApps[a], 0, cfg.BTBEntries, cfg.BTBWays, pcfg)
 		lru := runPolicy(tr, nil, nil, nil)
 		opt := runPolicy(tr, optNew, nil, nil)
 		den := core.Speedup(lru, opt)
@@ -184,16 +177,13 @@ func Fig20(c *Context) []*Table {
 // Fig21 — Thermometer combined with the Twig BTB prefetcher: speedups over
 // the LRU+Twig baseline.
 func Fig21(c *Context) []*Table {
-	t := &Table{
+	cfg := core.DefaultConfig()
+	return c.appTable(&Table{
 		ID:     "fig21",
 		Title:  "Speedup (%) over LRU+Twig: replacement under BTB prefetching",
 		Header: []string{"app", "SRRIP", "Thermometer", "OPT"},
-	}
-	cfg := core.DefaultConfig()
-	apps := workload.AppNames()
-	allVals := make([][3]float64, len(apps))
-	c.forEach(len(apps), func(i int) {
-		app := apps[i]
+		Notes:  []string{"paper: Thermometer+Twig 30.9% over LRU+Twig (95.9% of OPT's 32.2%); SRRIP 1.37%"},
+	}, workload.AppNames(), true, func(app string) []float64 {
 		tr := c.AppTrace(app, 0)
 		tw := prefetch.TrainTwig(tr, prefetch.TwigConfig{
 			Entries: cfg.BTBEntries, Ways: cfg.BTBWays,
@@ -203,28 +193,10 @@ func Fig21(c *Context) []*Table {
 
 		base := runPolicy(tr, nil, nil, withTwig)
 		sp := func(r *core.Result) float64 { return core.Speedup(base, r) }
-		allVals[i] = [3]float64{
+		return []float64{
 			sp(runPolicy(tr, func() btb.Policy { return policy.NewSRRIP() }, nil, withTwig)),
 			sp(runPolicy(tr, thermNew, ht, withTwig)),
 			sp(runPolicy(tr, optNew, nil, withTwig)),
 		}
 	})
-	var sums, sumsNoVeri [3]float64
-	for i, app := range apps {
-		row := []string{app}
-		for j, v := range allVals[i] {
-			sums[j] += v
-			if app != "verilator" {
-				sumsNoVeri[j] += v
-			}
-			row = append(row, pct(v))
-		}
-		t.AddRow(row...)
-	}
-	n := float64(len(apps))
-	t.AddRow("Avg no verilator", pct(sumsNoVeri[0]/(n-1)), pct(sumsNoVeri[1]/(n-1)), pct(sumsNoVeri[2]/(n-1)))
-	t.AddRow("Avg", pct(sums[0]/n), pct(sums[1]/n), pct(sums[2]/n))
-	t.Notes = append(t.Notes,
-		"paper: Thermometer+Twig 30.9% over LRU+Twig (95.9% of OPT's 32.2%); SRRIP 1.37%")
-	return []*Table{t}
 }

@@ -2,8 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 )
+
+var updateExpGolden = flag.Bool("update-golden", false, "rewrite the experiments golden file")
 
 // renderAll runs the given experiments on a fresh context at the given pool
 // width and returns the concatenated rendered tables.
@@ -46,5 +51,50 @@ func TestGoldenParallelDeterminism(t *testing.T) {
 			}
 		}
 		t.Fatalf("output lengths differ: serial %d bytes, parallel %d bytes", len(serial), len(parallel))
+	}
+}
+
+// TestGoldenExperiments pins every registered experiment's rendered tables,
+// at scale 16 with two CBP-5 and two IPC-1 traces, to a checked-in golden
+// file. fig14 is left out: it reports wall-clock profiling time. The golden
+// was generated before the per-app tables moved onto one builder and the
+// hint tables onto the trace's memo, and pins both to byte-identical
+// output. Regenerate with:
+//
+//	go test ./internal/experiments -run TestGoldenExperiments -update-golden
+func TestGoldenExperiments(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow golden sweep")
+	}
+	var ids []string
+	for _, id := range IDs() {
+		if id != "fig14" {
+			ids = append(ids, id)
+		}
+	}
+	got := renderAll(t, ids, 0)
+	path := filepath.Join("testdata", "golden_experiments.txt")
+	if *updateExpGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d experiments)", path, len(ids))
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update-golden to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if !bytes.Equal(gl[i], wl[i]) {
+				t.Fatalf("output differs from %s at line %d:\ngot:  %s\nwant: %s", path, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("output has %d lines, %s has %d", len(gl), path, len(wl))
 	}
 }

@@ -16,47 +16,26 @@ func init() {
 // benefits from temperature-guided replacement at both levels, roughly as
 // much as the monolithic 8K BTB does.
 func TwoLevel(c *Context) []*Table {
-	t := &Table{
+	cfg := core.DefaultConfig()
+	return c.appTable(&Table{
 		ID:    "twolevel",
 		Title: "Two-level BTB (1K L1 + 8K L2): speedup (%) over each organization's LRU",
 		Header: []string{"app", "mono-Therm", "mono-OPT", "2L-Therm", "2L-OPT",
 			"2L-LRU vs mono-LRU"},
-	}
-	cfg := core.DefaultConfig()
-	apps := []string{"cassandra", "mediawiki", "tomcat", "wordpress"}
-	allVals := make([][5]float64, len(apps))
-	c.forEach(len(apps), func(i int) {
-		app := apps[i]
+		Notes: []string{"temperature hints keep paying off under a two-level organization (paper §5: orthogonal techniques)"},
+	}, []string{"cassandra", "mediawiki", "tomcat", "wordpress"}, false, func(app string) []float64 {
 		tr := c.AppTrace(app, 0)
 		ht := c.Hints(app, 0, cfg.BTBEntries, cfg.BTBWays, profile.DefaultConfig())
 
 		monoLRU := runPolicy(tr, nil, nil, nil)
-		monoTherm := core.Speedup(monoLRU, runPolicy(tr, thermNew, ht, nil))
-		monoOPT := core.Speedup(monoLRU, runPolicy(tr, optNew, nil, nil))
-
 		twoLvl := func(cc *core.Config) { cc.TwoLevelBTB = core.DefaultTwoLevelBTB() }
 		tlLRU := runPolicy(tr, func() btb.Policy { return policy.NewLRU() }, nil, twoLvl)
-		tlTherm := core.Speedup(tlLRU, runPolicy(tr, thermNew, ht, twoLvl))
-		tlOPT := core.Speedup(tlLRU, runPolicy(tr, optNew, nil, twoLvl))
-		tlBase := core.Speedup(monoLRU, tlLRU)
-
-		allVals[i] = [5]float64{monoTherm, monoOPT, tlTherm, tlOPT, tlBase}
-	})
-	var sums [5]float64
-	for i, app := range apps {
-		row := []string{app}
-		for j, v := range allVals[i] {
-			sums[j] += v
-			row = append(row, pct(v))
+		return []float64{
+			core.Speedup(monoLRU, runPolicy(tr, thermNew, ht, nil)),
+			core.Speedup(monoLRU, runPolicy(tr, optNew, nil, nil)),
+			core.Speedup(tlLRU, runPolicy(tr, thermNew, ht, twoLvl)),
+			core.Speedup(tlLRU, runPolicy(tr, optNew, nil, twoLvl)),
+			core.Speedup(monoLRU, tlLRU),
 		}
-		t.AddRow(row...)
-	}
-	row := []string{"Avg"}
-	for _, s := range sums {
-		row = append(row, pct(s/float64(len(apps))))
-	}
-	t.AddRow(row...)
-	t.Notes = append(t.Notes,
-		"temperature hints keep paying off under a two-level organization (paper §5: orthogonal techniques)")
-	return []*Table{t}
+	})
 }

@@ -249,20 +249,3 @@ func CDF(ys []float64) []float64 {
 	}
 	return out
 }
-
-// Percentile returns the p-quantile (0 <= p <= 1) of xs (not modified).
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	i := int(p * float64(len(s)-1))
-	return s[i]
-}
-
-// MeanSpeedup aggregates per-app speedup fractions (e.g. 0.087 for 8.7%)
-// into their arithmetic mean — the convention behind the paper's "Avg"
-// bars (Figs 12, 13, 17), which average percentage speedups across
-// applications rather than taking a geometric mean of speedup ratios.
-func MeanSpeedup(xs []float64) float64 { return Mean(xs) }

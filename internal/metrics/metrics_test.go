@@ -175,16 +175,6 @@ func TestCDF(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	if Percentile(xs, 0) != 1 || Percentile(xs, 1) != 5 || Percentile(xs, 0.5) != 3 {
-		t.Fatal("percentiles wrong")
-	}
-	if Percentile(nil, 0.5) != 0 {
-		t.Fatal("empty percentile not 0")
-	}
-}
-
 func TestSummarizeVariancePhaseBehaviour(t *testing.T) {
 	// Branch with alternating short/long reuse (phase-like) must show
 	// transient variance ≥ holistic variance.
@@ -229,15 +219,5 @@ func TestVarianceDivisors(t *testing.T) {
 	// Mean 3, deviations −2, −1, 3 → 4+1+9 = 14, over m = 3.
 	if got, want := HolisticVariance(b), 14.0/3; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("holistic = %v, want %v", got, want)
-	}
-}
-
-func TestMeanSpeedup(t *testing.T) {
-	xs := []float64{0.10, 0.20, 0.60}
-	if got := MeanSpeedup(xs); math.Abs(got-0.30) > 1e-12 {
-		t.Fatalf("MeanSpeedup = %v, want 0.30 (arithmetic mean)", got)
-	}
-	if MeanSpeedup(nil) != 0 {
-		t.Fatal("MeanSpeedup(nil) != 0")
 	}
 }

@@ -7,7 +7,40 @@
 // the BTB stores only architectural state (tags, targets, hint bits).
 package policy
 
-import "thermometer/internal/btb"
+import (
+	"fmt"
+
+	"thermometer/internal/btb"
+	"thermometer/internal/detmap"
+)
+
+// byName maps each policy's name, as thermod specs and btbsim's -policy
+// flag spell it, to its constructor. Every constructor returns a
+// deterministic policy (enforced for the roster by the invariants tests).
+var byName = map[string]func() btb.Policy{
+	"lru":                  func() btb.Policy { return NewLRU() },
+	"random":               func() btb.Policy { return NewRandom() },
+	"srrip":                func() btb.Policy { return NewSRRIP() },
+	"ghrp":                 func() btb.Policy { return NewGHRP() },
+	"hawkeye":              func() btb.Policy { return NewHawkeye() },
+	"opt":                  func() btb.Policy { return NewOPT() },
+	"thermometer":          func() btb.Policy { return NewThermometer() },
+	"thermometer-nobypass": func() btb.Policy { return NewThermometerNoBypass() },
+	"holistic":             func() btb.Policy { return NewHolisticOnly() },
+	"transient":            func() btb.Policy { return NewTransientOnly() },
+}
+
+// Names returns the accepted policy names, sorted.
+func Names() []string { return detmap.SortedKeys(byName) }
+
+// ByName returns the constructor of the named policy, or an error listing
+// the accepted names.
+func ByName(name string) (func() btb.Policy, error) {
+	if f := byName[name]; f != nil {
+		return f, nil
+	}
+	return nil, fmt.Errorf("unknown policy %q (want one of %v)", name, Names())
+}
 
 // Instrumented is implemented by policies that expose internal decision
 // counters to the telemetry subsystem. Keys are fully qualified snake_case

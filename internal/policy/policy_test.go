@@ -308,6 +308,26 @@ func TestPolicyNames(t *testing.T) {
 	}
 }
 
+// TestByName pins the name table that thermod specs and btbsim's -policy
+// flag share: each of the ten names builds a policy, and an unknown name's
+// error lists them all.
+func TestByName(t *testing.T) {
+	names := Names()
+	if len(names) != 10 {
+		t.Fatalf("Names() = %v, want 10 names", names)
+	}
+	for _, name := range names {
+		if f, err := ByName(name); err != nil || f() == nil {
+			t.Errorf("ByName(%q) = %v", name, err)
+		}
+	}
+	_, err := ByName("belady")
+	const want = `unknown policy "belady" (want one of [ghrp hawkeye holistic lru opt random srrip thermometer thermometer-nobypass transient])`
+	if err == nil || err.Error() != want {
+		t.Fatalf("ByName(belady) error = %v", err)
+	}
+}
+
 func TestOPTNeverWorseThanLRUProperty(t *testing.T) {
 	r := xrand.New(77)
 	for iter := 0; iter < 10; iter++ {

@@ -305,6 +305,7 @@ func ReadHints(r io.Reader) (*HintTable, error) {
 
 // ProfileTrace is the end-to-end offline pipeline (steps 2+3 of Fig 10):
 // simulate OPT over the trace's access stream and build the hint table.
+// Every call profiles afresh; HintsFor memoizes the table on the trace.
 func ProfileTrace(tr *trace.Trace, entries, ways int, cfg Config) (*HintTable, *belady.Result, error) {
 	res := belady.Profile(tr.AccessStream(), entries, ways)
 	ht, err := Build(res, cfg)
@@ -312,4 +313,33 @@ func ProfileTrace(tr *trace.Trace, entries, ways int, cfg Config) (*HintTable, *
 		return nil, nil, err
 	}
 	return ht, res, nil
+}
+
+// hintsKey is HintsFor's Memo key. A slice is not comparable, so the
+// thresholds are rendered with %v, which prints each float64 in its
+// shortest round-trip form: distinct lists give distinct keys.
+type hintsKey struct {
+	entries, ways int
+	thresholds    string
+	def           uint8
+}
+
+// hintsMemo is one memoized ProfileTrace outcome.
+type hintsMemo struct {
+	ht  *HintTable
+	err error
+}
+
+// HintsFor returns ProfileTrace's hint table for the trace, built once per
+// trace, geometry, threshold list and default category (memoized on the
+// trace, like its access stream) and shared by every caller: concurrent
+// callers with the same arguments wait for one profiling pass. The Belady
+// result is not kept. Callers must treat the table as read-only.
+func HintsFor(tr *trace.Trace, entries, ways int, cfg Config) (*HintTable, error) {
+	k := hintsKey{entries, ways, fmt.Sprint(cfg.Thresholds), cfg.DefaultCategory}
+	m := tr.Memo(k, func() any {
+		ht, _, err := ProfileTrace(tr, entries, ways, cfg)
+		return hintsMemo{ht, err}
+	}).(hintsMemo)
+	return m.ht, m.err
 }

@@ -2,10 +2,13 @@ package profile
 
 import (
 	"bytes"
+	"reflect"
+	"sync"
 	"testing"
 
 	"thermometer/internal/belady"
 	"thermometer/internal/trace"
+	"thermometer/internal/workload"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -215,5 +218,67 @@ func TestQuantileThresholdsDegenerate(t *testing.T) {
 	cfg := Config{Thresholds: ths}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("degenerate thresholds invalid: %v (%v)", err, ths)
+	}
+}
+
+// TestHintsForMemo pins HintsFor's memo: one table per trace, geometry,
+// threshold list and default category, each equal to a fresh
+// ProfileTrace's, and one build shared by concurrent callers.
+func TestHintsForMemo(t *testing.T) {
+	spec, _ := workload.App("kafka")
+	tr := spec.ScaleLength(1, 64).Generate(0)
+	cold := DefaultConfig()
+	cold.DefaultCategory = Cold
+	cases := []struct {
+		name          string
+		entries, ways int
+		cfg           Config
+	}{
+		{"default", 8192, 4, DefaultConfig()},
+		{"7979", 7979, 4, DefaultConfig()},
+		{"8-way", 8192, 8, DefaultConfig()},
+		{"thresholds", 8192, 4, Config{Thresholds: []float64{0.3, 0.9}, DefaultCategory: 1}},
+		{"cold-default", 8192, 4, cold},
+	}
+	seen := make(map[*HintTable]string)
+	for _, c := range cases {
+		ht, err := HintsFor(tr, c.entries, c.ways, c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if again, _ := HintsFor(tr, c.entries, c.ways, c.cfg); again != ht {
+			t.Errorf("%s: repeat call returned a different table", c.name)
+		}
+		if prev, ok := seen[ht]; ok {
+			t.Errorf("%s: shares its table with %s", c.name, prev)
+		}
+		seen[ht] = c.name
+		fresh, _, err := ProfileTrace(tr, c.entries, c.ways, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ht, fresh) {
+			t.Errorf("%s: memoized table differs from a fresh ProfileTrace", c.name)
+		}
+	}
+	if _, err := HintsFor(tr, 8192, 4, Config{}); err == nil {
+		t.Error("invalid config accepted")
+	}
+
+	fresh := spec.ScaleLength(1, 64).Generate(0)
+	got := make([]*HintTable, 16)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], _ = HintsFor(fresh, 8192, 4, DefaultConfig())
+		}(i)
+	}
+	wg.Wait()
+	for i, ht := range got {
+		if ht == nil || ht != got[0] {
+			t.Fatalf("goroutine %d got table %p, goroutine 0 got %p", i, ht, got[0])
+		}
 	}
 }

@@ -301,17 +301,13 @@ func (e *Engine) publishCacheStats() {
 		m.SetCounter("runner_cache_disk_errors", st.DiskErrors)
 		m.Gauge("runner_cache_size").Set(uint64(e.Cache.Len()))
 	}
-	// The package-level trace/hint caches are shared by every Engine, so
-	// their counters are process totals, not per-engine.
-	tr, ht, trLen, htLen := sharedCacheStats()
+	// The package-level trace cache is shared by every Engine, so its
+	// counters are process totals, not per-engine.
+	tr, size := sharedCacheStats()
 	m.SetCounter("runner_trace_cache_hits", tr.hits)
 	m.SetCounter("runner_trace_cache_misses", tr.misses)
 	m.SetCounter("runner_trace_cache_evictions", tr.evictions)
-	m.Gauge("runner_trace_cache_size").Set(uint64(trLen))
-	m.SetCounter("runner_hint_cache_hits", ht.hits)
-	m.SetCounter("runner_hint_cache_misses", ht.misses)
-	m.SetCounter("runner_hint_cache_evictions", ht.evictions)
-	m.Gauge("runner_hint_cache_size").Set(uint64(htLen))
+	m.Gauge("runner_trace_cache_size").Set(uint64(size))
 }
 
 // PublishMetrics pre-registers the engine's metric surface (counters at

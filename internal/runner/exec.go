@@ -6,6 +6,7 @@ import (
 
 	"thermometer/internal/core"
 	"thermometer/internal/hintqual"
+	"thermometer/internal/policy"
 	"thermometer/internal/profile"
 	"thermometer/internal/replay"
 	"thermometer/internal/telemetry"
@@ -47,53 +48,44 @@ type Outcome struct {
 	HintQual *hintqual.Summary `json:"hintqual,omitempty"`
 }
 
-// traceSlot and hintSlot are single-flight cache entries: the map lookup
-// is cheap and mutex-guarded, generation runs once outside the lock.
+// traceSlot is a single-flight cache entry: the map lookup is cheap and
+// mutex-guarded, generation runs once outside the lock.
 type traceSlot struct {
 	once sync.Once
 	tr   *trace.Trace
 }
 
-type hintSlot struct {
-	once sync.Once
-	ht   *profile.HintTable
-	err  error
-}
-
-// Traces and hint tables are pure functions of the spec fields that key
-// them, so the caches live at package level and are shared by every Engine:
-// harnesses that construct a fresh Engine per job (benchmark samplers, the
-// CLI) reuse the generated trace instead of paying workload synthesis again.
-// Both caches are bounded: on overflow the whole map is dropped and rebuilt,
-// which is trivially correct for a content-addressed cache of pure values.
-const (
-	maxCachedTraces     = 64
-	maxCachedHintTables = 256
-)
+// Traces are pure functions of the spec fields that key them, so the cache
+// lives at package level and is shared by every Engine: harnesses that
+// construct a fresh Engine per job (benchmark samplers, the CLI) reuse the
+// generated trace instead of paying workload synthesis again. Hint tables
+// are memoized on the trace itself (profile.HintsFor), so they live exactly
+// as long as it does. The cache is bounded: on overflow the whole map is
+// dropped and rebuilt, which is trivially correct for a content-addressed
+// cache of pure values.
+const maxCachedTraces = 64
 
 var (
-	cacheMu    sync.Mutex
-	traces     map[string]*traceSlot
-	hintTables map[string]*hintSlot
+	cacheMu sync.Mutex
+	traces  map[string]*traceSlot // guarded by cacheMu
 
 	// Shared-cache traffic counters, published on /metrics by
 	// Engine.publishCacheStats. An eviction here is one dropped map entry
 	// (the whole map is dropped at once on overflow).
 	traceCacheStats cacheTraffic // guarded by cacheMu
-	hintCacheStats  cacheTraffic // guarded by cacheMu
 )
 
-// cacheTraffic counts lookups against one package-level single-flight cache.
+// cacheTraffic counts lookups against the package-level trace cache.
 type cacheTraffic struct {
 	hits, misses, evictions uint64
 }
 
-// sharedCacheStats snapshots the package-level cache counters and current
-// sizes for metrics export.
-func sharedCacheStats() (tr, ht cacheTraffic, trLen, htLen int) {
+// sharedCacheStats snapshots the trace cache's counters and current size
+// for metrics export.
+func sharedCacheStats() (tr cacheTraffic, size int) {
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
-	return traceCacheStats, hintCacheStats, len(traces), len(hintTables)
+	return traceCacheStats, len(traces)
 }
 
 // trace returns (and caches) the trace for a normalized spec. Concurrent
@@ -132,43 +124,12 @@ func (e *Engine) trace(s Spec) *trace.Trace {
 	return slot.tr
 }
 
-// hints returns (and caches) the profile-guided hint table for a
-// normalized spec's trace at its profiling geometry.
-func (e *Engine) hints(s Spec, tr *trace.Trace) (*profile.HintTable, error) {
-	entries := s.BTBEntries
-	if s.HintEntries > 0 {
-		entries = s.HintEntries
-	}
-	key := fmt.Sprintf("%s/%s/%d#%d/%d@%dx%d", s.Suite, s.App, s.Index, s.Input, s.Scale, entries, s.BTBWays)
-	cacheMu.Lock()
-	if len(hintTables) >= maxCachedHintTables {
-		hintCacheStats.evictions += uint64(len(hintTables))
-		hintTables = nil
-	}
-	if hintTables == nil {
-		hintTables = make(map[string]*hintSlot)
-	}
-	slot := hintTables[key]
-	if slot == nil {
-		hintCacheStats.misses++
-		slot = &hintSlot{}
-		hintTables[key] = slot
-	} else {
-		hintCacheStats.hits++
-	}
-	cacheMu.Unlock()
-	slot.once.Do(func() {
-		slot.ht, _, slot.err = profile.ProfileTrace(tr, entries, s.BTBWays, profile.DefaultConfig())
-	})
-	return slot.ht, slot.err
-}
-
 // execute runs one normalized spec to completion. It is a pure function of
 // the spec: no wall clock, no ambient randomness, no shared mutable state
-// beyond the single-flight trace/hint caches (whose contents are
-// themselves pure functions of the spec fields that key them). The span
-// scope, when live, times the stages — trace load, hint load, simulate,
-// aggregate — without touching the result.
+// beyond the single-flight trace cache and the hint tables memoized on its
+// traces (themselves pure functions of the spec fields that key them). The
+// span scope, when live, times the stages — trace load, hint load,
+// simulate, aggregate — without touching the result.
 func (e *Engine) execute(s Spec, sc spanScope) (*Outcome, error) {
 	load := sc.start("trace_load")
 	tr := e.trace(s)
@@ -176,14 +137,19 @@ func (e *Engine) execute(s Spec, sc spanScope) (*Outcome, error) {
 	var ht *profile.HintTable
 	if s.Hints {
 		hints := sc.start("hint_load")
+		entries := s.BTBEntries
+		if s.HintEntries > 0 {
+			entries = s.HintEntries
+		}
 		var err error
-		if ht, err = e.hints(s, tr); err != nil {
+		if ht, err = profile.HintsFor(tr, entries, s.BTBWays, profile.DefaultConfig()); err != nil {
 			hints.EndDetail("error")
 			return nil, fmt.Errorf("profiling hints: %w", err)
 		}
 		hints.End()
 	}
 
+	newPolicy, _ := policy.ByName(s.Policy) // validated by Normalized
 	out := &Outcome{Trace: tr.Name}
 	switch s.Mode {
 	case ModeReplay:
@@ -192,7 +158,7 @@ func (e *Engine) execute(s Spec, sc spanScope) (*Outcome, error) {
 			Entries: s.BTBEntries,
 			Ways:    s.BTBWays,
 			Sets:    s.BTBSets,
-			Policy:  policies[s.Policy](),
+			Policy:  newPolicy(),
 			Hints:   ht,
 		})
 		sim.EndDetail("replay")
@@ -212,7 +178,7 @@ func (e *Engine) execute(s Spec, sc spanScope) (*Outcome, error) {
 		cfg.BTBEntries = s.BTBEntries
 		cfg.BTBWays = s.BTBWays
 		cfg.BTBSets = s.BTBSets
-		cfg.NewPolicy = policies[s.Policy]
+		cfg.NewPolicy = newPolicy
 		cfg.Hints = ht
 		var hq *hintqual.Recorder
 		if s.HintQual {

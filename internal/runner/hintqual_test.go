@@ -119,8 +119,8 @@ func TestHintQualKeyStability(t *testing.T) {
 }
 
 // TestSharedCacheMetricsPublished pins the /metrics surface of the
-// package-level trace/hint caches: after a sweep through an engine with a
-// registry, the counters and size gauges are present and the repeat sweep
+// package-level trace cache: after a sweep through an engine with a
+// registry, the counters and size gauge are present and the repeat sweep
 // registers cache hits.
 func TestSharedCacheMetricsPublished(t *testing.T) {
 	m := telemetry.NewRegistry()
@@ -132,24 +132,18 @@ func TestSharedCacheMetricsPublished(t *testing.T) {
 	snap := m.Snapshot()
 	for _, name := range []string{
 		"runner_trace_cache_hits", "runner_trace_cache_misses", "runner_trace_cache_evictions",
-		"runner_hint_cache_hits", "runner_hint_cache_misses", "runner_hint_cache_evictions",
 	} {
 		if _, ok := snap.Counters[name]; !ok {
 			t.Errorf("counter %s not published", name)
 		}
 	}
-	for _, name := range []string{"runner_trace_cache_size", "runner_hint_cache_size"} {
-		if _, ok := snap.Gauges[name]; !ok {
-			t.Errorf("gauge %s not published", name)
-		}
+	if _, ok := snap.Gauges["runner_trace_cache_size"]; !ok {
+		t.Error("gauge runner_trace_cache_size not published")
 	}
-	// The caches are package-global, so absolute values depend on test
-	// order; the second sweep's lookups guarantee at least one hit each.
+	// The cache is package-global, so absolute values depend on test
+	// order; the second sweep's lookup guarantees at least one hit.
 	if snap.Counters["runner_trace_cache_hits"] == 0 {
 		t.Error("trace cache hits not counted")
-	}
-	if snap.Counters["runner_hint_cache_hits"] == 0 {
-		t.Error("hint cache hits not counted")
 	}
 	if snap.Gauges["runner_trace_cache_size"] == 0 {
 		t.Error("trace cache size gauge empty")

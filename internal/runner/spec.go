@@ -6,9 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"thermometer/internal/btb"
 	"thermometer/internal/core"
-	"thermometer/internal/detmap"
 	"thermometer/internal/policy"
 	"thermometer/internal/workload"
 )
@@ -42,7 +40,7 @@ type Spec struct {
 
 	// Mode is "timing" (default) or "replay".
 	Mode string `json:"mode,omitempty"`
-	// Policy is the BTB replacement policy; see PolicyNames.
+	// Policy is the BTB replacement policy; see policy.Names.
 	Policy string `json:"policy,omitempty"`
 	// Hints attaches profile-guided temperature hints (profiled offline at
 	// the job's BTB geometry, or HintEntries when set).
@@ -63,25 +61,6 @@ type Spec struct {
 	// instead of BTBEntries.
 	HintEntries int `json:"hint_entries,omitempty"`
 }
-
-// policies maps spec policy names to factories. Every factory must return
-// a deterministic policy (enforced for the roster by the repo's policy
-// invariants tests).
-var policies = map[string]func() btb.Policy{
-	"lru":                  func() btb.Policy { return policy.NewLRU() },
-	"random":               func() btb.Policy { return policy.NewRandom() },
-	"srrip":                func() btb.Policy { return policy.NewSRRIP() },
-	"ghrp":                 func() btb.Policy { return policy.NewGHRP() },
-	"hawkeye":              func() btb.Policy { return policy.NewHawkeye() },
-	"opt":                  func() btb.Policy { return policy.NewOPT() },
-	"thermometer":          func() btb.Policy { return policy.NewThermometer() },
-	"thermometer-nobypass": func() btb.Policy { return policy.NewThermometerNoBypass() },
-	"holistic":             func() btb.Policy { return policy.NewHolisticOnly() },
-	"transient":            func() btb.Policy { return policy.NewTransientOnly() },
-}
-
-// PolicyNames returns the accepted policy names, sorted.
-func PolicyNames() []string { return detmap.SortedKeys(policies) }
 
 // Normalized returns a copy of the spec with defaults applied, or an error
 // describing why the spec is invalid. Two specs that normalize to the same
@@ -141,8 +120,8 @@ func (s Spec) Normalized() (Spec, error) {
 	if s.Mode != ModeTiming && s.Mode != ModeReplay {
 		return s, fmt.Errorf("unknown mode %q (want timing or replay)", s.Mode)
 	}
-	if policies[s.Policy] == nil {
-		return s, fmt.Errorf("unknown policy %q (want one of %v)", s.Policy, PolicyNames())
+	if _, err := policy.ByName(s.Policy); err != nil {
+		return s, err
 	}
 	if s.BTBWays > s.BTBEntries {
 		return s, fmt.Errorf("btb_ways %d exceeds btb_entries %d", s.BTBWays, s.BTBEntries)

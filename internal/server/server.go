@@ -245,6 +245,10 @@ func (s *Server) dispatch() {
 		if s.runCtx.Err() != nil {
 			state = StateCanceled
 		}
+		// Spans first: a client that sees the terminal state must find the
+		// spans that describe the finished job.
+		s.recordSpan(job.ID, "sweep", now, end, state)
+		s.recordSpan(job.ID, "job", job.SubmittedAt, end, state)
 		s.mu.Lock()
 		job.Results = results
 		job.Failed = failed
@@ -252,8 +256,6 @@ func (s *Server) dispatch() {
 		job.State = state
 		s.appendEventLocked(job.ID, JobEvent{Time: end, Type: "state", State: state})
 		s.mu.Unlock()
-		s.recordSpan(job.ID, "sweep", now, end, state)
-		s.recordSpan(job.ID, "job", job.SubmittedAt, end, state)
 		s.count("thermod_jobs_completed")
 		if m := s.opts.Metrics; m != nil {
 			m.Histogram("thermod_sweep_latency_ms").Observe(uint64(end.Sub(now).Milliseconds()))

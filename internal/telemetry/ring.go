@@ -2,9 +2,9 @@ package telemetry
 
 // Ring is a bounded buffer that overwrites its oldest element when full, so
 // the last Cap() pushes of an unbounded stream stay available at a fixed
-// memory cost. The event tracer and the audit recorders' decision, heatmap
-// and drift-window series all keep their history in one. Not safe for
-// concurrent use; owners serialize access.
+// memory cost. The event tracer, the span tracer and the audit recorders'
+// decision, heatmap and drift-window series all keep their history in one.
+// Not safe for concurrent use; owners serialize access.
 type Ring[T any] struct {
 	buf   []T
 	next  int    // slot of the next push

@@ -29,6 +29,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"thermometer/internal/telemetry"
 )
 
 // ID is a 64-bit span, parent, or trace identifier. The zero ID means
@@ -55,8 +57,7 @@ func Derive(parts ...string) ID {
 }
 
 // Span is one completed duration span. Plain data: the tracer stores spans
-// by value in a preallocated ring, so recording is allocation-free once the
-// ring is warm.
+// by value in a preallocated ring, so recording is allocation-free.
 type Span struct {
 	Trace  ID     // groups the spans of one job/request
 	ID     ID     // deterministic span identity
@@ -74,10 +75,8 @@ type Span struct {
 type Tracer struct {
 	nowNanos func() int64
 
-	mu    sync.Mutex
-	buf   []Span // guarded by mu
-	head  int    // guarded by mu; next write index once the ring is full
-	total uint64 // guarded by mu; spans ever recorded
+	mu   sync.Mutex
+	ring *telemetry.Ring[Span] // guarded by mu
 }
 
 // New returns a tracer retaining the last capacity spans (minimum 1).
@@ -87,10 +86,7 @@ func New(nowNanos func() int64, capacity int) *Tracer {
 	if nowNanos == nil {
 		panic("span: New requires an injected NowNanos clock")
 	}
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Tracer{nowNanos: nowNanos, buf: make([]Span, 0, capacity)}
+	return &Tracer{nowNanos: nowNanos, ring: telemetry.NewRing[Span](capacity)}
 }
 
 // Cap returns the ring capacity; 0 on a nil tracer.
@@ -98,11 +94,9 @@ func (t *Tracer) Cap() int {
 	if t == nil {
 		return 0
 	}
-	// Record reassigns the slice header (append), so even reading cap(buf)
-	// unlocked is a data race on the header word.
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return cap(t.buf)
+	return t.ring.Cap()
 }
 
 // Total returns the number of spans ever recorded.
@@ -112,7 +106,7 @@ func (t *Tracer) Total() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.total
+	return t.ring.Total()
 }
 
 // Dropped returns how many spans were overwritten by ring wraparound.
@@ -122,7 +116,7 @@ func (t *Tracer) Dropped() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.total - uint64(len(t.buf))
+	return t.ring.Dropped()
 }
 
 // Record appends one completed span, overwriting the oldest when full. Use
@@ -134,16 +128,7 @@ func (t *Tracer) Record(s Span) {
 		return
 	}
 	t.mu.Lock()
-	if len(t.buf) < cap(t.buf) {
-		t.buf = append(t.buf, s)
-	} else {
-		t.buf[t.head] = s
-		t.head++
-		if t.head == cap(t.buf) {
-			t.head = 0
-		}
-	}
-	t.total++
+	t.ring.Push(s)
 	t.mu.Unlock()
 }
 
@@ -196,14 +181,7 @@ func (t *Tracer) Spans() []Span {
 func (t *Tracer) snapshot() (spans []Span, total, dropped uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	spans = make([]Span, 0, len(t.buf))
-	if len(t.buf) == cap(t.buf) {
-		spans = append(spans, t.buf[t.head:]...)
-		spans = append(spans, t.buf[:t.head]...)
-	} else {
-		spans = append(spans, t.buf...)
-	}
-	return spans, t.total, t.total - uint64(len(t.buf))
+	return t.ring.Slice(), t.ring.Total(), t.ring.Dropped()
 }
 
 // WriteChromeTrace emits the retained spans as Chrome trace_event JSON

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 
 	"thermometer/internal/trace"
 	"thermometer/internal/xrand"
@@ -197,9 +196,4 @@ func Summarize(tr *trace.Trace) FootprintSummary {
 		DynamicTaken: tr.TakenBranches(),
 		Instructions: tr.Instructions(),
 	}
-}
-
-// SortBySize orders summaries by unique-taken footprint (used in reports).
-func SortBySize(xs []FootprintSummary) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i].UniqueTaken < xs[j].UniqueTaken })
 }

@@ -239,11 +239,6 @@ func TestSummarize(t *testing.T) {
 	if s.Name != "x" || s.UniqueTaken != 1 || s.DynamicTaken != 1 || s.Instructions != 4 {
 		t.Fatalf("summary = %+v", s)
 	}
-	xs := []FootprintSummary{{UniqueTaken: 5}, {UniqueTaken: 2}}
-	SortBySize(xs)
-	if xs[0].UniqueTaken != 2 {
-		t.Fatal("sort failed")
-	}
 }
 
 func TestScaleLength(t *testing.T) {
