@@ -13,9 +13,10 @@
 package belady
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
-	"thermometer/internal/detmap"
 	"thermometer/internal/trace"
 )
 
@@ -53,8 +54,10 @@ func (b *BranchProfile) BypassRatio() float64 {
 
 // Result is the output of a Profile run.
 type Result struct {
-	// PerBranch maps branch PC to its profile.
-	PerBranch map[uint64]*BranchProfile
+	// PerBranch holds one profile per static branch, in the order of the
+	// branches' first accesses: for a trace's whole AccessStream,
+	// PerBranch[s] is site s. PCOrder walks it by PC.
+	PerBranch []BranchProfile
 	// Accesses, Hits, Misses, Bypasses are stream-wide totals.
 	Accesses, Hits, Misses, Bypasses uint64
 	// Sets and Ways echo the simulated geometry.
@@ -69,12 +72,25 @@ func (r *Result) HitRate() float64 {
 	return float64(r.Hits) / float64(r.Accesses)
 }
 
+// PCOrder returns the indices of PerBranch in ascending PC order, for
+// outputs and float sums that must not depend on the stream's order.
+func (r *Result) PCOrder() []int {
+	order := make([]int, len(r.PerBranch))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(i, j int) int { return cmp.Compare(r.PerBranch[i].PC, r.PerBranch[j].PC) })
+	return order
+}
+
 // SortedByTemperature returns the profiled branches ordered by descending
-// hit-to-taken percentage — the x-axis ordering of Figs 6 and 7.
+// hit-to-taken percentage — the x-axis ordering of Figs 6 and 7. Ties
+// break by PC, so the order is total and does not depend on PerBranch's.
+// The pointers are into PerBranch.
 func (r *Result) SortedByTemperature() []*BranchProfile {
-	out := make([]*BranchProfile, 0, len(r.PerBranch))
-	for _, pc := range detmap.SortedKeys(r.PerBranch) {
-		out = append(out, r.PerBranch[pc])
+	out := make([]*BranchProfile, len(r.PerBranch))
+	for i := range r.PerBranch {
+		out[i] = &r.PerBranch[i]
 	}
 	sort.Slice(out, func(i, j int) bool {
 		ti, tj := out[i].HitToTaken(), out[j].HitToTaken()
@@ -108,21 +124,30 @@ type beladyEntry struct {
 // ProfileSets is Profile with an explicit set count. It drives the
 // incremental Shadow model (see shadow.go), so the batch profiler and the
 // attribution layer's regret reference share one replacement decision
-// procedure.
+// procedure. accesses may be any sub-slice of a trace's AccessStream;
+// per-branch state is found by site, not by PC.
 func ProfileSets(accesses []trace.Access, sets, ways int) *Result {
+	// slot maps a site to its PerBranch index (-1 until its first access):
+	// the identity for a whole stream, whose sites start at zero.
+	slot := make([]int32, trace.SiteCount(accesses))
+	for i := range slot {
+		slot[i] = -1
+	}
 	res := &Result{
-		PerBranch: make(map[uint64]*BranchProfile, 1<<12),
+		PerBranch: make([]BranchProfile, 0, len(slot)),
 		Sets:      sets,
 		Ways:      ways,
 	}
 	shadow := NewShadow(sets, ways)
 	for i := range accesses {
 		a := &accesses[i]
-		bp := res.PerBranch[a.PC]
-		if bp == nil {
-			bp = &BranchProfile{PC: a.PC, Type: a.Type}
-			res.PerBranch[a.PC] = bp
+		k := slot[a.Site]
+		if k < 0 {
+			k = int32(len(res.PerBranch))
+			slot[a.Site] = k
+			res.PerBranch = append(res.PerBranch, BranchProfile{PC: a.PC, Type: a.Type})
 		}
+		bp := &res.PerBranch[k]
 		bp.Taken++
 
 		out, _ := shadow.Access(a.PC, a.NextUse)

@@ -28,6 +28,16 @@ func randomStream(r *xrand.RNG, nPCs, length int) []trace.Access {
 	return stream(pcs)
 }
 
+// branch returns res's profile of pc, or nil.
+func branch(res *Result, pc uint64) *BranchProfile {
+	for i := range res.PerBranch {
+		if res.PerBranch[i].PC == pc {
+			return &res.PerBranch[i]
+		}
+	}
+	return nil
+}
+
 func TestProfileBasics(t *testing.T) {
 	// 2 hot branches cycling + unique cold branches, 1 set × 2 ways.
 	pcs := []uint64{1, 2}
@@ -40,7 +50,7 @@ func TestProfileBasics(t *testing.T) {
 	if res.Accesses != uint64(len(pcs)) {
 		t.Fatalf("accesses = %d, want %d", res.Accesses, len(pcs))
 	}
-	b1 := res.PerBranch[1]
+	b1 := branch(res, 1)
 	if b1 == nil || b1.Taken != 11 {
 		t.Fatalf("branch 1 profile = %+v", b1)
 	}
@@ -51,7 +61,7 @@ func TestProfileBasics(t *testing.T) {
 	if got := b1.HitToTaken(); got < 0.9 {
 		t.Fatalf("branch 1 hit-to-taken = %v, want >= 0.9", got)
 	}
-	bc := res.PerBranch[100]
+	bc := branch(res, 100)
 	if bc.Hits != 0 || bc.Bypasses != 1 {
 		t.Fatalf("cold branch profile = %+v", bc)
 	}

@@ -44,6 +44,8 @@ type ShadowStats struct {
 // access at a time.
 type Shadow struct {
 	sets, ways int
+	setMask    uint64 // sets-1 when sets is a power of two
+	pow2       bool
 	table      [][]beladyEntry
 	stats      ShadowStats
 }
@@ -56,7 +58,13 @@ func NewShadow(sets, ways int) *Shadow {
 	if ways < 1 {
 		ways = 1
 	}
-	return &Shadow{sets: sets, ways: ways, table: make([][]beladyEntry, sets)}
+	return &Shadow{
+		sets:    sets,
+		ways:    ways,
+		setMask: uint64(sets - 1),
+		pow2:    sets&(sets-1) == 0,
+		table:   make([][]beladyEntry, sets),
+	}
 }
 
 // Sets returns the set count.
@@ -77,7 +85,14 @@ func (s *Shadow) ResetStats() { s.stats = ShadowStats{} }
 // when the outcome is ShadowEvict.
 func (s *Shadow) Access(pc uint64, nextUse int) (out ShadowOutcome, evictedPC uint64) {
 	s.stats.Accesses++
-	si := pc % uint64(s.sets)
+	// Index as btb.SetIndex does: a mask for a power-of-two set count, the
+	// modulo otherwise (1994 sets for the paper's 7979 entries).
+	var si uint64
+	if s.pow2 {
+		si = pc & s.setMask
+	} else {
+		si = pc % uint64(s.sets)
+	}
 	set := s.table[si]
 	for w := range set {
 		if set[w].pc == pc {

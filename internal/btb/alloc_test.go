@@ -10,7 +10,7 @@ import (
 
 // pinZeroAllocs asserts fn performs no heap allocation per invocation,
 // pinning the steady-state contract of the SoA BTB: requests are copied
-// into BTB-owned scratch and victim snapshots reuse a per-BTB buffer.
+// into BTB-owned scratch.
 func pinZeroAllocs(t *testing.T, name string, fn func()) {
 	t.Helper()
 	fn() // warm up: first call may grow internal scratch

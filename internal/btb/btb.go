@@ -79,10 +79,11 @@ type Policy interface {
 	// set `set` (after any eviction).
 	OnInsert(set, way int, req *Request)
 	// Victim selects the way to evict from `set` to make room for req, or
-	// returns Bypass to skip insertion. entries holds a snapshot of the
-	// set's ways (all valid — Victim is only consulted when the set is
-	// full); implementations must not retain or mutate it.
-	Victim(set int, entries []Entry, req *Request) int
+	// returns Bypass to skip insertion. It is only consulted when every way
+	// of the set is valid. A policy that weighs residents' temperatures
+	// keeps its own per-way copy, written by OnInsert and refreshed by
+	// OnHit, as the BTB refreshes its stored hint on a hit.
+	Victim(set int, req *Request) int
 }
 
 // Stats counts BTB events.
@@ -182,11 +183,9 @@ type BTB struct {
 	// Scratch reused across calls so the steady state allocates nothing:
 	// req receives a copy of the caller's request before it is handed to
 	// the policy or the probe (keeping the caller's Request on its stack),
-	// setScratch materializes a set for Policy.Victim, and displaced holds
-	// the entry passed to ProbeEvict.
-	req        Request
-	setScratch []Entry
-	displaced  Entry
+	// and displaced holds the entry passed to ProbeEvict.
+	req       Request
+	displaced Entry
 }
 
 // New builds a BTB with totalEntries/ways sets (truncating division, which
@@ -213,18 +212,17 @@ func NewWithSets(sets, ways int, p Policy) *BTB {
 		fullMasks[vwords-1] = ^uint64(0) >> (64 - r)
 	}
 	b := &BTB{
-		sets:       sets,
-		ways:       ways,
-		pow2:       sets&(sets-1) == 0,
-		setMask:    uint64(sets - 1),
-		vwords:     vwords,
-		fullMasks:  fullMasks,
-		valid:      make([]uint64, sets*vwords),
-		pcs:        make([]uint64, sets*ways),
-		targets:    make([]uint64, sets*ways),
-		meta:       make([]uint16, sets*ways),
-		policy:     p,
-		setScratch: make([]Entry, ways),
+		sets:      sets,
+		ways:      ways,
+		pow2:      sets&(sets-1) == 0,
+		setMask:   uint64(sets - 1),
+		vwords:    vwords,
+		fullMasks: fullMasks,
+		valid:     make([]uint64, sets*vwords),
+		pcs:       make([]uint64, sets*ways),
+		targets:   make([]uint64, sets*ways),
+		meta:      make([]uint16, sets*ways),
+		policy:    p,
 	}
 	p.Reset(sets, ways)
 	return b
@@ -324,15 +322,6 @@ func (b *BTB) fillAt(s, w int, req *Request) {
 	b.stats.Insertions++
 }
 
-// materializeSet snapshots set s into the reusable scratch for
-// Policy.Victim.
-func (b *BTB) materializeSet(s int) []Entry {
-	for w := 0; w < b.ways; w++ {
-		b.setScratch[w] = b.entryAt(s, w)
-	}
-	return b.setScratch
-}
-
 // Lookup probes the BTB without modifying replacement state or statistics.
 // It returns the stored target and whether the PC is present. The frontend
 // uses it on the speculative path; replacement state is updated at branch
@@ -398,7 +387,7 @@ func (b *BTB) install(s int, req *Request, kind ProbeKind) (int, Entry) {
 	var evicted Entry
 	w := b.firstInvalid(s)
 	if w < 0 {
-		w = b.policy.Victim(s, b.materializeSet(s), req)
+		w = b.policy.Victim(s, req)
 		if w == Bypass {
 			return Bypass, evicted
 		}

@@ -24,7 +24,7 @@ func (p *naiveLRU) OnInsert(set, way int, _ *Request) {
 	p.clock++
 	p.stamp[set*p.ways+way] = p.clock
 }
-func (p *naiveLRU) Victim(set int, _ []Entry, _ *Request) int {
+func (p *naiveLRU) Victim(set int, _ *Request) int {
 	best := 0
 	for w := 1; w < p.ways; w++ {
 		if p.stamp[set*p.ways+w] < p.stamp[set*p.ways+best] {
@@ -37,11 +37,11 @@ func (p *naiveLRU) Victim(set int, _ []Entry, _ *Request) int {
 // alwaysBypass never inserts.
 type alwaysBypass struct{}
 
-func (alwaysBypass) Name() string                      { return "bypass" }
-func (alwaysBypass) Reset(int, int)                    {}
-func (alwaysBypass) OnHit(int, int, *Request)          {}
-func (alwaysBypass) OnInsert(int, int, *Request)       {}
-func (alwaysBypass) Victim(int, []Entry, *Request) int { return Bypass }
+func (alwaysBypass) Name() string                { return "bypass" }
+func (alwaysBypass) Reset(int, int)              {}
+func (alwaysBypass) OnHit(int, int, *Request)    {}
+func (alwaysBypass) OnInsert(int, int, *Request) {}
+func (alwaysBypass) Victim(int, *Request) int    { return Bypass }
 
 func req(pc, target uint64) *Request {
 	return &Request{PC: pc, Target: target, Type: trace.UncondDirect, NextUse: trace.NoNextUse}

@@ -52,7 +52,9 @@ type Config struct {
 
 	// NewPolicy constructs the BTB replacement policy for this run.
 	NewPolicy func() btb.Policy
-	// Hints supplies Thermometer temperature categories (may be nil).
+	// Hints supplies Thermometer temperature categories (may be nil). The
+	// table is read-only once a run has used it: Run memoizes its
+	// per-access column on the trace (see profile.HintTable.Column).
 	Hints *profile.HintTable
 	// NewPredictor constructs the direction predictor (nil → TAGE).
 	NewPredictor func() bpred.Predictor

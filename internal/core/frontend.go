@@ -79,11 +79,15 @@ type frontStream struct {
 	spill []uint64
 }
 
+// ownPredictor reports whether cfg's frontend pass runs a predictor of its
+// own, whose stream (and tallies) cannot be memoized.
+func ownPredictor(cfg *Config) bool { return !cfg.PerfectBP && cfg.NewPredictor != nil }
+
 // frontendFor returns the trace's frontend stream for cfg: memoized on the
 // trace unless cfg supplies its own predictor.
 func frontendFor(tr *trace.Trace, cfg *Config) *frontStream {
 	k := keyOf(cfg)
-	if !cfg.PerfectBP && cfg.NewPredictor != nil {
+	if ownPredictor(cfg) {
 		return runFrontend(tr.Records, k, cfg.NewPredictor())
 	}
 	return tr.Memo(k, func() any {
@@ -214,25 +218,51 @@ func dataLoads(h *cache.Hierarchy, rng *xrand.RNG, n uint64, k frontKey) uint64 
 	return dataStall
 }
 
-// tally adds the outcome counts of records [from, len) to res: the
-// post-warm-up direction, target and instruction-miss counters.
-func (fs *frontStream) tally(res *Result, from int) {
-	var lookups, dirMiss, rasMiss, ibtbMiss, l1, l2, llc uint64
+// frontTally is the frontend's post-warm-up direction, target and
+// instruction-miss counters.
+type frontTally struct {
+	lookups, dirMiss, rasMiss, ibtbMiss, l1, l2, llc uint64
+}
+
+// tallyKey is tallyFor's Memo key. The sums depend only on the stream and
+// the warm-up start.
+type tallyKey struct {
+	front frontKey
+	from  int
+}
+
+// tallyFor returns fs's tally of records [from, len): memoized on the
+// trace with its stream, or summed afresh when cfg's stream is not.
+func tallyFor(tr *trace.Trace, cfg *Config, fs *frontStream, from int) frontTally {
+	if ownPredictor(cfg) {
+		return fs.tally(from)
+	}
+	return tr.Memo(tallyKey{keyOf(cfg), from}, func() any { return fs.tally(from) }).(frontTally)
+}
+
+// tally sums the outcome counts of records [from, len).
+func (fs *frontStream) tally(from int) frontTally {
+	var t frontTally
 	for _, f := range fs.recs[from:] {
 		fl, ln := uint64(f.flags), uint64(f.lines)
-		lookups += fl & frontDirLookup
-		dirMiss += fl >> 1 & 1
-		rasMiss += fl >> 2 & 1
-		ibtbMiss += fl >> 3 & 1
-		l1 += ln & 0xf
-		l2 += ln >> 4 & 0xf
-		llc += ln >> 8 & 0xf
+		t.lookups += fl & frontDirLookup
+		t.dirMiss += fl >> 1 & 1
+		t.rasMiss += fl >> 2 & 1
+		t.ibtbMiss += fl >> 3 & 1
+		t.l1 += ln & 0xf
+		t.l2 += ln >> 4 & 0xf
+		t.llc += ln >> 8 & 0xf
 	}
-	res.DirLookups += lookups
-	res.DirMispredicts += dirMiss
-	res.RASMispredicts += rasMiss
-	res.IBTBMispredicts += ibtbMiss
-	res.InstrL1Misses += l1
-	res.InstrL2Misses += l2
-	res.InstrLLCMisses += llc
+	return t
+}
+
+// addTo adds the tally to res's counters.
+func (t frontTally) addTo(res *Result) {
+	res.DirLookups += t.lookups
+	res.DirMispredicts += t.dirMiss
+	res.RASMispredicts += t.rasMiss
+	res.IBTBMispredicts += t.ibtbMiss
+	res.InstrL1Misses += t.l1
+	res.InstrL2Misses += t.l2
+	res.InstrLLCMisses += t.llc
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"thermometer/internal/profile"
 	"thermometer/internal/trace"
 )
 
@@ -37,9 +38,10 @@ type BranchSite struct {
 // OPT policy price prefetch-inserted entries).
 //
 // The layout is flat: pointer-free slices, plus two maps from addresses to
-// int32 indices. Each static branch site has a dense ID, and the sites are
-// stored by ID grouped by block, in first-access order within a block, so
-// a block's sites are one span of IDs. The access positions are one CSR
+// int32 indices. Each static branch site has a dense ID: the stream's site
+// number (trace.Access.Site) renumbered so that the sites are stored by ID
+// grouped by block, in first-access order within a block, and a block's
+// sites are one span of IDs. The access positions are one CSR
 // array indexed by ID. A TraceMeta is read-only once built: MetaFor shares
 // one per trace between every run and prefetcher on it, and prefetchers
 // keep their own state in slices indexed by site ID.
@@ -56,32 +58,29 @@ type TraceMeta struct {
 	pos   []int32
 }
 
-// BuildMeta scans the access stream and lays out its metadata.
+// BuildMeta lays out the metadata of a trace's whole access stream. It
+// takes the stream's site numbering (first-access order, Access.Site), so
+// it reads no map per access.
 func BuildMeta(accesses []trace.Access) *TraceMeta {
 	if len(accesses) > math.MaxInt32 {
 		panic("core: access stream too long for 32-bit trace metadata")
 	}
-	// Number the sites in first-access order.
-	ids := make(map[uint64]int32, 1<<12)
+	// Collect the sites in the stream's first-access order, each with its
+	// last target.
 	var first []BranchSite
-	siteOf := make([]int32, len(accesses))
 	for i := range accesses {
 		a := &accesses[i]
-		id, ok := ids[a.PC]
-		if !ok {
-			id = int32(len(first))
-			ids[a.PC] = id
+		if int(a.Site) == len(first) {
 			first = append(first, BranchSite{PC: a.PC, Type: a.Type})
 		}
-		first[id].Target = a.Target
-		siteOf[i] = id
+		first[a.Site].Target = a.Target
 	}
 
 	// Group them by block, blocks numbered by first appearance; a site's
 	// ID is its slot in its block's span.
 	m := &TraceMeta{
 		sites:  make([]BranchSite, len(first)),
-		ids:    ids,
+		ids:    make(map[uint64]int32, len(first)),
 		blocks: make(map[uint64]int32, len(first)/2),
 		posAt:  make([]int32, len(first)+1),
 		pos:    make([]int32, len(accesses)),
@@ -110,20 +109,19 @@ func BuildMeta(accesses []trace.Access) *TraceMeta {
 		next[blockOf[f]]++
 		idOf[f] = id
 		m.sites[id] = first[f]
-		ids[first[f].PC] = id
+		m.ids[first[f].PC] = id
 	}
 
 	// Lay out the positions by ID.
-	for i, f := range siteOf {
-		id := idOf[f]
-		siteOf[i] = id
-		m.posAt[id+1]++
+	for i := range accesses {
+		m.posAt[idOf[accesses[i].Site]+1]++
 	}
 	for id := range m.sites {
 		m.posAt[id+1] += m.posAt[id]
 	}
 	fill := append([]int32(nil), m.posAt[:len(m.sites)]...)
-	for i, id := range siteOf {
+	for i := range accesses {
+		id := idOf[accesses[i].Site]
 		m.pos[fill[id]] = int32(i)
 		fill[id]++
 	}
@@ -138,6 +136,21 @@ type metaKey struct{}
 // treat it as read-only.
 func MetaFor(tr *trace.Trace) *TraceMeta {
 	return tr.Memo(metaKey{}, func() any { return BuildMeta(tr.AccessStream()) }).(*TraceMeta)
+}
+
+// hintColumnKey is hintColumn's Memo key: one column per hint table.
+type hintColumnKey struct{ ht *profile.HintTable }
+
+// hintColumn returns ht's Column over the trace's access stream, nil
+// without a table. It is memoized on the trace per table, like the stream
+// itself, so every run with that table reads its demand accesses'
+// temperatures by position; the table must not change once a run has
+// used it.
+func hintColumn(tr *trace.Trace, ht *profile.HintTable) []uint8 {
+	if ht == nil {
+		return nil
+	}
+	return tr.Memo(hintColumnKey{ht}, func() any { return ht.Column(tr.AccessStream()) }).([]uint8)
 }
 
 // NumSites returns the number of static branch sites; IDs run from 0 to

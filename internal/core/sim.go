@@ -107,7 +107,8 @@ type pendingFill struct {
 // prefix-drain is equivalent to the order-preserving in-place filter it
 // replaces. The ring grows when full but is reused across the whole run
 // (and across runner jobs via the sim struct), instead of the append-only
-// slice that previously grew without bound.
+// slice that previously grew without bound. Its length is always a power
+// of two (64·4^k), so positions wrap with a mask.
 type fillRing struct {
 	buf       []pendingFill
 	head, n   int
@@ -124,11 +125,11 @@ func (r *fillRing) push(pf pendingFill) {
 	if r.n == len(r.buf) {
 		grown := make([]pendingFill, max(4*len(r.buf), 64))
 		for i := 0; i < r.n; i++ {
-			grown[i] = r.buf[(r.head+i)%len(r.buf)]
+			grown[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 		}
 		r.buf, r.head = grown, 0
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = pf
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = pf
 	r.n++
 }
 
@@ -136,7 +137,7 @@ func (r *fillRing) peek() *pendingFill { return &r.buf[r.head] }
 
 func (r *fillRing) pop() pendingFill {
 	pf := r.buf[r.head]
-	r.head = (r.head + 1) % len(r.buf)
+	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	return pf
 }
@@ -152,6 +153,7 @@ type sim struct {
 	accesses []trace.Access
 	meta     *TraceMeta
 	hints    *profile.HintTable
+	temps    []uint8 // hints' column: demand access i's temperature (nil without hints)
 	fe       *frontStream
 	spillIdx int // next unread fe.spill entry
 
@@ -238,6 +240,7 @@ func Run(tr *trace.Trace, cfg Config) *Result {
 		accesses: accesses,
 		meta:     meta,
 		hints:    cfg.Hints,
+		temps:    hintColumn(tr, cfg.Hints),
 		fe:       frontendFor(tr, &cfg),
 
 		bank:     bank,
@@ -303,7 +306,7 @@ func Run(tr *trace.Trace, cfg Config) *Result {
 	} else {
 		s.runRecords(recs, fe)
 	}
-	s.fe.tally(res, measuredFrom)
+	tallyFor(tr, &cfg, s.fe, measuredFrom).addTo(res)
 
 	res.BTB = bank.stats()
 	if twoLevel != nil {
@@ -346,13 +349,14 @@ func (s *sim) warmupReset() {
 // the reusable demand request (btb.Access never retains it). Every field
 // that varies per access is written here; Prefetch is false for the
 // request's whole lifetime and Temperature is only ever nonzero when a
-// hint table is attached (in which case it is overwritten every call).
+// hint table is attached (in which case it is overwritten every call, from
+// the hint column).
 func (s *sim) btbAccess(r *trace.Record) (hit bool, bubble uint64) {
 	req := &s.demandReq
 	req.PC, req.Target, req.Type = r.PC, r.Target, r.Type
 	req.NextUse, req.Index = s.accesses[s.curIdx].NextUse, s.curIdx
-	if s.hints != nil {
-		req.Temperature = s.hints.Lookup(r.PC)
+	if s.temps != nil {
+		req.Temperature = s.temps[s.curIdx]
 	}
 	if s.twoLevel != nil {
 		tr2 := s.twoLevel.Access(req)

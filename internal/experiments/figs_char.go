@@ -5,7 +5,6 @@ import (
 
 	"thermometer/internal/btb"
 	"thermometer/internal/core"
-	"thermometer/internal/detmap"
 	"thermometer/internal/metrics"
 	"thermometer/internal/prefetch"
 	"thermometer/internal/profile"
@@ -218,14 +217,16 @@ func Fig8(c *Context) []*Table {
 		stats := tr.StaticBranches()
 		reuse := metrics.ReuseSequences(tr.AccessStream(), sets)
 
+		// Spearman's float sums follow the sample order, so walk the
+		// branches by PC.
 		var temp, typ, dist, bias, avgReuse []float64
-		for _, pc := range detmap.SortedKeys(res.PerBranch) {
-			b := res.PerBranch[pc]
-			s := stats[pc]
+		for _, k := range res.PCOrder() {
+			b := &res.PerBranch[k]
+			s := stats[b.PC]
 			if s == nil {
 				continue
 			}
-			seq := reuse[pc]
+			seq := reuse[b.PC]
 			if len(seq) < 2 {
 				continue
 			}
@@ -261,9 +262,11 @@ func Fig9(c *Context) []*Table {
 		Notes:  []string{"paper: cold branches bypassed in >50% of cases; hot branches almost always inserted"},
 	}, workload.AppNames(), false, func(app string) []float64 {
 		res := beladyResult(c.AppTrace(app, 0))
+		// The sums add integer counts, exact in a float64, so they do not
+		// depend on the order of the branches.
 		var byp, miss [3]float64
-		for _, pc := range detmap.SortedKeys(res.PerBranch) {
-			b := res.PerBranch[pc]
+		for k := range res.PerBranch {
+			b := &res.PerBranch[k]
 			cat := pcfg.Categorize(b.HitToTaken())
 			byp[cat] += float64(b.Bypasses)
 			miss[cat] += float64(b.Bypasses + b.Inserts)

@@ -120,7 +120,7 @@ func (p *GHRP) OnInsert(set, way int, req *btb.Request) {
 }
 
 // Victim implements btb.Policy.
-func (p *GHRP) Victim(set int, _ []btb.Entry, req *btb.Request) int {
+func (p *GHRP) Victim(set int, req *btb.Request) int {
 	base := set * p.ways
 	bestWay, bestVote := 0, -1
 	for w := 0; w < p.ways; w++ {

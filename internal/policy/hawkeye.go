@@ -196,7 +196,7 @@ func (p *Hawkeye) OnInsert(set, way int, req *btb.Request) {
 // all residents are friendly, evict the LRU entry and detrain its PC. Like
 // cache Hawkeye, insertion always happens — averse entries are merely first
 // in line for eviction.
-func (p *Hawkeye) Victim(set int, _ []btb.Entry, _ *btb.Request) int {
+func (p *Hawkeye) Victim(set int, _ *btb.Request) int {
 	base := set * p.ways
 	averseWays := p.averseScratch[:0]
 	for w := 0; w < p.ways; w++ {

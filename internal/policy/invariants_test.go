@@ -144,3 +144,47 @@ func TestHolisticOnlyUniformIsFIFO(t *testing.T) {
 		t.Fatalf("FIFO violated: evicted %d", r.Evicted.PC)
 	}
 }
+
+// TestThermometerTemperatureMirrorsBTB: Thermometer and HolisticOnly decide
+// victims from their own per-way copy of the temperatures the BTB stores.
+// A random mix of demand accesses and prefetch fills, whose temperatures
+// change between accesses of one PC, must leave every valid way's copy
+// equal to the BTB's after each step.
+func TestThermometerTemperatureMirrorsBTB(t *testing.T) {
+	th, nb, ho := NewThermometer(), NewThermometerNoBypass(), NewHolisticOnly()
+	for _, tc := range []struct {
+		p     btb.Policy
+		temps *tempState
+	}{
+		{th, &th.temps},
+		{nb, &nb.temps},
+		{ho, &ho.temps},
+	} {
+		b := btb.NewWithSets(4, 4, tc.p)
+		r := xrand.New(17)
+		for step := 0; step < 4000; step++ {
+			pc := uint64(1 + r.Intn(40))
+			req := btb.Request{
+				PC: pc, Target: pc + 4, Type: trace.UncondDirect,
+				Temperature: uint8(r.Intn(3)), NextUse: trace.NoNextUse, Index: step,
+			}
+			if r.Bool(0.25) {
+				req.Prefetch = true
+				b.PrefetchFill(&req)
+			} else {
+				b.Access(&req)
+			}
+			for s := 0; s < b.Sets(); s++ {
+				for w, e := range b.Contents(s) {
+					if got := tc.temps.of(s)[w]; e.Valid && got != e.Temperature {
+						t.Fatalf("%s step %d: set %d way %d holds temperature %d, policy mirrors %d",
+							tc.p.Name(), step, s, w, e.Temperature, got)
+					}
+				}
+			}
+		}
+		if st := b.Stats(); st.Hits == 0 || st.Evictions == 0 || st.PrefetchFills == 0 {
+			t.Errorf("%s: stream too tame to test the mirror: %+v", tc.p.Name(), st)
+		}
+	}
+}

@@ -41,7 +41,7 @@ func (p *OPT) OnInsert(set, way int, req *btb.Request) { p.nextUse[set*p.ways+wa
 
 // Victim implements btb.Policy: evict (or bypass) the candidate whose next
 // use is furthest in the future.
-func (p *OPT) Victim(set int, _ []btb.Entry, req *btb.Request) int {
+func (p *OPT) Victim(set int, req *btb.Request) int {
 	base := set * p.ways
 	victim := btb.Bypass // the incoming branch itself
 	furthest := req.NextUse

@@ -147,7 +147,7 @@ func (p *LRU) OnHit(set, way int, _ *btb.Request) { p.lru.touch(set, way) }
 func (p *LRU) OnInsert(set, way int, _ *btb.Request) { p.lru.touch(set, way) }
 
 // Victim implements btb.Policy.
-func (p *LRU) Victim(set int, _ []btb.Entry, _ *btb.Request) int {
+func (p *LRU) Victim(set int, _ *btb.Request) int {
 	return p.lru.lruWay(set)
 }
 
@@ -175,7 +175,7 @@ func (p *Random) OnHit(int, int, *btb.Request) {}
 func (p *Random) OnInsert(int, int, *btb.Request) {}
 
 // Victim implements btb.Policy.
-func (p *Random) Victim(int, []btb.Entry, *btb.Request) int {
+func (p *Random) Victim(int, *btb.Request) int {
 	// xorshift64
 	p.state ^= p.state << 13
 	p.state ^= p.state >> 7

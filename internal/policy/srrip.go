@@ -53,7 +53,7 @@ func (p *SRRIP) OnInsert(set, way int, _ *btb.Request) { p.rrpv[set*p.ways+way] 
 
 // Victim implements btb.Policy: the first way predicted distant, aging the
 // whole set until one exists.
-func (p *SRRIP) Victim(set int, _ []btb.Entry, _ *btb.Request) int {
+func (p *SRRIP) Victim(set int, _ *btb.Request) int {
 	base := set * p.ways
 	for {
 		for w := 0; w < p.ways; w++ {

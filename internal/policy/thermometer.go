@@ -14,8 +14,10 @@ import "thermometer/internal/btb"
 //
 // Temperatures arrive on each Request (the simulator reads them from the
 // profile.HintTable, standing in for the bits a compiler would encode into
-// the branch instruction) and are stored per entry by the BTB, matching the
-// 2-bits-per-entry hardware cost computed in §3.4.
+// the branch instruction) and are stored per entry, matching the
+// 2-bits-per-entry hardware cost computed in §3.4. The BTB keeps the
+// architectural copy; the policy mirrors it per way (tempState) so a victim
+// decision reads the set's temperatures without a snapshot of the set.
 type Thermometer struct {
 	// NoBypass disables Algorithm 1's bypass (lines 5-6) for the ablation
 	// study of §2.5: a uniquely-coldest incoming branch is then inserted
@@ -29,8 +31,33 @@ type Thermometer struct {
 	Covered   uint64
 	Bypasses  uint64
 
-	lru  lruState
-	cand []int // scratch: candidate ways, reused across decisions
+	lru   lruState
+	temps tempState
+	cand  []int // scratch: candidate ways, reused across decisions
+}
+
+// tempState mirrors the temperature hint the BTB stores with each entry,
+// one byte per way: OnInsert writes it and OnHit refreshes it, exactly as
+// the BTB writes its copy on a fill and refreshes it on a demand hit.
+type tempState struct {
+	t    []uint8
+	ways int
+}
+
+func (s *tempState) reset(sets, ways int) {
+	s.t = make([]uint8, sets*ways)
+	s.ways = ways
+}
+
+// store records req's temperature for (set, way).
+func (s *tempState) store(set, way int, req *btb.Request) {
+	s.t[set*s.ways+way] = req.Temperature
+}
+
+// of returns the temperatures of set's ways.
+func (s *tempState) of(set int) []uint8 {
+	base := set * s.ways
+	return s.t[base : base+s.ways : base+s.ways]
 }
 
 // NewThermometer returns the Thermometer replacement policy.
@@ -50,28 +77,35 @@ func (p *Thermometer) Name() string {
 	return "Thermometer"
 }
 
-// Reset implements btb.Policy: clears counters and recency state.
+// Reset implements btb.Policy: clears counters, recency and temperatures.
 func (p *Thermometer) Reset(sets, ways int) {
 	p.lru.reset(sets, ways)
+	p.temps.reset(sets, ways)
 	p.Decisions, p.Covered, p.Bypasses = 0, 0, 0
 	p.cand = make([]int, 0, ways)
 }
 
-// OnHit implements btb.Policy (recency only; temperatures live in the BTB
-// entry).
-func (p *Thermometer) OnHit(set, way int, _ *btb.Request) { p.lru.touch(set, way) }
+// OnHit implements btb.Policy: recency, and the hit's temperature (a
+// re-profiled binary may have changed the branch's category).
+func (p *Thermometer) OnHit(set, way int, req *btb.Request) {
+	p.lru.touch(set, way)
+	p.temps.store(set, way, req)
+}
 
 // OnInsert implements btb.Policy.
-func (p *Thermometer) OnInsert(set, way int, _ *btb.Request) { p.lru.touch(set, way) }
+func (p *Thermometer) OnInsert(set, way int, req *btb.Request) {
+	p.lru.touch(set, way)
+	p.temps.store(set, way, req)
+}
 
 // Victim implements btb.Policy (Algorithm 1): the way to evict, or Bypass.
-func (p *Thermometer) Victim(set int, entries []btb.Entry, req *btb.Request) int {
+func (p *Thermometer) Victim(set int, req *btb.Request) int {
 	p.Decisions++
 
+	temps := p.temps.of(set)
 	coldest := req.Temperature
 	allSame := true
-	for i := range entries {
-		t := entries[i].Temperature
+	for _, t := range temps {
 		if t != req.Temperature {
 			allSame = false
 		}
@@ -84,9 +118,9 @@ func (p *Thermometer) Victim(set int, entries []btb.Entry, req *btb.Request) int
 	}
 
 	p.cand = p.cand[:0]
-	for i := range entries {
-		if entries[i].Temperature == coldest {
-			p.cand = append(p.cand, i)
+	for w, t := range temps {
+		if t == coldest {
+			p.cand = append(p.cand, w)
 		}
 	}
 	if len(p.cand) == 0 {
@@ -95,15 +129,15 @@ func (p *Thermometer) Victim(set int, entries []btb.Entry, req *btb.Request) int
 			// resident: either the no-bypass ablation is active, or this
 			// is a prefetcher-initiated fill whose transient evidence of
 			// imminent reuse outweighs the holistic cold hint.
-			coldestResident := entries[0].Temperature
-			for i := range entries {
-				if entries[i].Temperature < coldestResident {
-					coldestResident = entries[i].Temperature
+			coldestResident := temps[0]
+			for _, t := range temps {
+				if t < coldestResident {
+					coldestResident = t
 				}
 			}
-			for i := range entries {
-				if entries[i].Temperature == coldestResident {
-					p.cand = append(p.cand, i)
+			for w, t := range temps {
+				if t == coldestResident {
+					p.cand = append(p.cand, w)
 				}
 			}
 			return p.lru.lruAmong(set, p.cand)
@@ -140,8 +174,9 @@ var _ Instrumented = (*Thermometer)(nil)
 // temperature hint: coldest-temperature eviction with insertion-order
 // (FIFO) tie breaking, deliberately ignoring recency.
 type HolisticOnly struct {
-	fifo fifoState
-	cand []int // scratch: candidate ways, reused across decisions
+	fifo  fifoState
+	temps tempState
+	cand  []int // scratch: candidate ways, reused across decisions
 }
 
 // NewHolisticOnly returns the holistic-only ablation policy.
@@ -153,27 +188,33 @@ func (p *HolisticOnly) Name() string { return "Holistic" }
 // Reset implements btb.Policy.
 func (p *HolisticOnly) Reset(sets, ways int) {
 	p.fifo.reset(sets, ways)
+	p.temps.reset(sets, ways)
 	p.cand = make([]int, 0, ways)
 }
 
-// OnHit implements btb.Policy: recency is deliberately not tracked.
-func (p *HolisticOnly) OnHit(int, int, *btb.Request) {}
+// OnHit implements btb.Policy: recency is deliberately not tracked; only
+// the stored temperature is refreshed.
+func (p *HolisticOnly) OnHit(set, way int, req *btb.Request) { p.temps.store(set, way, req) }
 
 // OnInsert implements btb.Policy.
-func (p *HolisticOnly) OnInsert(set, way int, _ *btb.Request) { p.fifo.inserted(set, way) }
+func (p *HolisticOnly) OnInsert(set, way int, req *btb.Request) {
+	p.fifo.inserted(set, way)
+	p.temps.store(set, way, req)
+}
 
 // Victim implements btb.Policy.
-func (p *HolisticOnly) Victim(set int, entries []btb.Entry, req *btb.Request) int {
+func (p *HolisticOnly) Victim(set int, req *btb.Request) int {
+	temps := p.temps.of(set)
 	coldest := req.Temperature
-	for i := range entries {
-		if entries[i].Temperature < coldest {
-			coldest = entries[i].Temperature
+	for _, t := range temps {
+		if t < coldest {
+			coldest = t
 		}
 	}
 	p.cand = p.cand[:0]
-	for i := range entries {
-		if entries[i].Temperature == coldest {
-			p.cand = append(p.cand, i)
+	for w, t := range temps {
+		if t == coldest {
+			p.cand = append(p.cand, w)
 		}
 	}
 	if len(p.cand) == 0 {

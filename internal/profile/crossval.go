@@ -79,16 +79,18 @@ func thermometerMisses(accesses []trace.Access, entries, ways int, ht *HintTable
 		sets = 1
 	}
 	table := make([][]cvEntry, sets)
+	temps := ht.Column(accesses)
 	var clock, misses uint64
 	for i := range accesses {
 		a := &accesses[i]
 		set := table[a.PC%uint64(sets)]
 		clock++
+		inTemp := temps[i]
 		hit := false
 		for w := range set {
 			if set[w].pc == a.PC {
 				set[w].stamp = clock
-				set[w].temp = ht.Lookup(a.PC)
+				set[w].temp = inTemp
 				hit = true
 				break
 			}
@@ -97,7 +99,6 @@ func thermometerMisses(accesses []trace.Access, entries, ways int, ht *HintTable
 			continue
 		}
 		misses++
-		inTemp := ht.Lookup(a.PC)
 		if len(set) < ways {
 			table[a.PC%uint64(sets)] = append(set, cvEntry{pc: a.PC, temp: inTemp, stamp: clock})
 			continue

@@ -96,6 +96,10 @@ const (
 )
 
 // HintTable is the injected profile: branch PC → temperature category.
+// It stays keyed by PC because it is the delivery format, the analogue of
+// the hint bits in the binary. A table is read-only once a run has used
+// it: the timing core memoizes its Column on the trace, so a later edit
+// would not reach runs on that trace.
 type HintTable struct {
 	Config Config
 	Hints  map[uint64]uint8
@@ -107,8 +111,9 @@ func Build(res *belady.Result, cfg Config) (*HintTable, error) {
 		return nil, err
 	}
 	t := &HintTable{Config: cfg, Hints: make(map[uint64]uint8, len(res.PerBranch))}
-	for _, pc := range detmap.SortedKeys(res.PerBranch) {
-		t.Hints[pc] = cfg.Categorize(res.PerBranch[pc].HitToTaken())
+	for i := range res.PerBranch {
+		b := &res.PerBranch[i]
+		t.Hints[b.PC] = cfg.Categorize(b.HitToTaken())
 	}
 	return t, nil
 }
@@ -120,6 +125,29 @@ func (t *HintTable) Lookup(pc uint64) uint8 {
 		return h
 	}
 	return t.Config.DefaultCategory
+}
+
+// Column resolves the table against an access stream: one Lookup per
+// static branch (site), expanded to one category per access, so col[i] is
+// accesses[i]'s temperature. It stands in for reading the hint bits out of
+// each fetched branch instruction. accesses may be any sub-slice of a
+// trace's AccessStream.
+func (t *HintTable) Column(accesses []trace.Access) []uint8 {
+	bySite := make([]int16, trace.SiteCount(accesses)) // -1: not looked up yet
+	for i := range bySite {
+		bySite[i] = -1
+	}
+	col := make([]uint8, len(accesses))
+	for i := range accesses {
+		a := &accesses[i]
+		c := bySite[a.Site]
+		if c < 0 {
+			c = int16(t.Lookup(a.PC))
+			bySite[a.Site] = c
+		}
+		col[i] = uint8(c)
+	}
+	return col
 }
 
 // Len returns the number of profiled branches.
@@ -170,9 +198,11 @@ func QuantileThresholds(res *belady.Result, categories int) []float64 {
 	if categories < 2 {
 		panic("profile: need at least 2 categories")
 	}
-	ratios := make([]float64, 0, len(res.PerBranch))
-	for _, pc := range detmap.SortedKeys(res.PerBranch) {
-		ratios = append(ratios, res.PerBranch[pc].HitToTaken())
+	// Sorting makes the input order irrelevant: ratios are never NaN or
+	// -0, so equal values are identical.
+	ratios := make([]float64, len(res.PerBranch))
+	for i := range res.PerBranch {
+		ratios[i] = res.PerBranch[i].HitToTaken()
 	}
 	sort.Float64s(ratios)
 	out := make([]float64, 0, categories-1)

@@ -117,7 +117,7 @@ func TestBuildAndLookup(t *testing.T) {
 }
 
 func TestBuildRejectsBadConfig(t *testing.T) {
-	res := &belady.Result{PerBranch: map[uint64]*belady.BranchProfile{}}
+	res := &belady.Result{}
 	if _, err := Build(res, Config{}); err == nil {
 		t.Fatal("bad config accepted")
 	}
@@ -177,11 +177,11 @@ func TestAgreement(t *testing.T) {
 }
 
 func TestQuantileThresholds(t *testing.T) {
-	res := &belady.Result{PerBranch: map[uint64]*belady.BranchProfile{}}
+	res := &belady.Result{}
 	for i := 0; i < 100; i++ {
-		res.PerBranch[uint64(i)] = &belady.BranchProfile{
+		res.PerBranch = append(res.PerBranch, belady.BranchProfile{
 			PC: uint64(i), Taken: 100, Hits: uint64(i),
-		}
+		})
 	}
 	ths := QuantileThresholds(res, 4)
 	if len(ths) != 3 {
@@ -210,9 +210,9 @@ func TestQuantileThresholds(t *testing.T) {
 
 func TestQuantileThresholdsDegenerate(t *testing.T) {
 	// All branches identical ratio: thresholds must still be ascending.
-	res := &belady.Result{PerBranch: map[uint64]*belady.BranchProfile{}}
+	res := &belady.Result{}
 	for i := 0; i < 10; i++ {
-		res.PerBranch[uint64(i)] = &belady.BranchProfile{Taken: 10, Hits: 5}
+		res.PerBranch = append(res.PerBranch, belady.BranchProfile{Taken: 10, Hits: 5})
 	}
 	ths := QuantileThresholds(res, 4)
 	cfg := Config{Thresholds: ths}

@@ -65,6 +65,10 @@ func Run(accesses []trace.Access, o Options) *Result {
 	b := btb.NewWithSets(sets, o.Ways, o.Policy)
 	res := &Result{Sets: sets, Ways: o.Ways}
 	warmupEnd := int(o.WarmupFrac * float64(len(accesses)))
+	var temps []uint8 // the hint column: one temperature per access
+	if o.Hints != nil {
+		temps = o.Hints.Column(accesses)
+	}
 	req := btb.Request{}
 	for i := range accesses {
 		if i == warmupEnd && i > 0 {
@@ -79,8 +83,8 @@ func Run(accesses []trace.Access, o Options) *Result {
 			NextUse: a.NextUse,
 			Index:   i,
 		}
-		if o.Hints != nil {
-			req.Temperature = o.Hints.Lookup(a.PC)
+		if temps != nil {
+			req.Temperature = temps[i]
 		}
 		r := b.Access(&req)
 		if o.RecordEvictions && r.Evicted.Valid {

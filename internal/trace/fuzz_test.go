@@ -55,3 +55,79 @@ func FuzzParseTrace(f *testing.F) {
 		}
 	})
 }
+
+// fuzzRecords turns arbitrary bytes into a valid record sequence, one
+// record per byte (at most 1024): bits 0-2 pick one of eight PCs, so PCs
+// repeat; bit 3 is the taken flag and bits 4-6 the branch type, with every
+// non-conditional branch taken as Validate requires.
+func fuzzRecords(data []byte) []Record {
+	data = data[:min(len(data), 1024)]
+	recs := make([]Record, len(data))
+	for i, b := range data {
+		r := Record{
+			PC:       0x4000 + uint64(b&7)*0x40,
+			Type:     BranchType(b>>4&7) % numBranchTypes,
+			Taken:    b&8 != 0,
+			BlockLen: uint16(i % 7),
+		}
+		if !r.Type.IsConditional() {
+			r.Taken = true
+		}
+		if r.Taken {
+			r.Target = r.PC + 0x100 + uint64(i)
+		}
+		recs[i] = r
+	}
+	return recs
+}
+
+// FuzzAccessStream checks the access stream of arbitrary small traces: one
+// access per taken record, in order; sites numbered in first-access order
+// with one site per PC and one PC per site; and every NextUse equal to a
+// forward scan's.
+func FuzzAccessStream(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x00})                         // one not-taken record: no access
+	f.Add([]byte{0x08})                         // a single taken record
+	f.Add([]byte{0x08, 0x09, 0x08, 0x0a, 0x09}) // repeated PCs
+	f.Add([]byte{0x00, 0x01, 0x02, 0x03})       // no taken record
+	f.Add([]byte{0x18, 0x2f, 0x3b, 0x4c, 0x5d, 0x6e, 0x08, 0x1f})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr := &Trace{Name: "fuzz", Records: fuzzRecords(data)}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("fuzzRecords built an invalid trace: %v", err)
+		}
+		acc := tr.AccessStream()
+		if uint64(len(acc)) != tr.TakenBranches() {
+			t.Fatalf("%d accesses for %d taken records", len(acc), tr.TakenBranches())
+		}
+		k := 0
+		for i := range tr.Records {
+			r := &tr.Records[i]
+			if !r.Taken {
+				continue
+			}
+			if a := &acc[k]; a.PC != r.PC || a.Target != r.Target || a.Type != r.Type {
+				t.Fatalf("access %d = %+v, record %d = %+v", k, *a, i, *r)
+			}
+			k++
+		}
+		checkSites(t, acc)
+		if n := SiteCount(acc); n != tr.UniqueTakenPCs() {
+			t.Fatalf("SiteCount = %d, UniqueTakenPCs = %d", n, tr.UniqueTakenPCs())
+		}
+		for i := range acc {
+			want := NoNextUse
+			for j := i + 1; j < len(acc); j++ {
+				if acc[j].PC == acc[i].PC {
+					want = j
+					break
+				}
+			}
+			if acc[i].NextUse != want {
+				t.Fatalf("access %d NextUse = %d, want %d", i, acc[i].NextUse, want)
+			}
+		}
+	})
+}

@@ -1,5 +1,7 @@
 package trace
 
+import "math"
+
 // NoNextUse marks an access whose branch is never taken again; Belady's
 // algorithm treats it as the most attractive eviction candidate.
 const NoNextUse = int(^uint(0) >> 1) // max int
@@ -13,19 +15,20 @@ type Access struct {
 	PC uint64
 	// Target is the taken target observed for this instance.
 	Target uint64
-	// RecordIndex is the index of this access in the originating
-	// Trace.Records slice.
-	RecordIndex int
 	// NextUse is the index (within the access stream) of the next access
 	// with the same PC, or NoNextUse if this is the final one. It is the
 	// oracle Belady's algorithm needs.
 	NextUse int
+	// Site numbers the static branch: the stream's distinct PCs are sites
+	// 0, 1, 2, ... in order of their first access. Per-branch state on hot
+	// paths lives in slices indexed by Site instead of maps keyed by PC.
+	Site int32
 	// Type mirrors the record's branch type.
 	Type BranchType
 }
 
-// AccessStream returns the trace's taken-branch subsequence with next-use
-// indices precomputed in a single backward pass. The result is the input to
+// AccessStream returns the trace's taken-branch subsequence with sites
+// numbered and next-use indices precomputed. The result is the input to
 // both the offline Belady profiler and the online OPT replacement policy.
 //
 // The stream is computed once per Trace and cached: profiling, prefetch
@@ -39,6 +42,8 @@ func (t *Trace) AccessStream() []Access {
 // accessStreamKey is AccessStream's Memo key.
 type accessStreamKey struct{}
 
+// buildAccessStream numbers the sites in one forward pass, the stream's only
+// map pass, then fills NextUse in a backward pass indexed by site.
 func (t *Trace) buildAccessStream() []Access {
 	n := 0
 	for i := range t.Records {
@@ -47,26 +52,48 @@ func (t *Trace) buildAccessStream() []Access {
 		}
 	}
 	accesses := make([]Access, 0, n)
+	sites := make(map[uint64]int32, 1<<12)
 	for i := range t.Records {
 		r := &t.Records[i]
 		if !r.Taken {
 			continue
 		}
+		site, ok := sites[r.PC]
+		if !ok {
+			if len(sites) == math.MaxInt32 {
+				panic("trace: too many static branches for 32-bit site numbers")
+			}
+			site = int32(len(sites))
+			sites[r.PC] = site
+		}
 		accesses = append(accesses, Access{
-			PC:          r.PC,
-			Target:      r.Target,
-			RecordIndex: i,
-			NextUse:     NoNextUse,
-			Type:        r.Type,
+			PC:      r.PC,
+			Target:  r.Target,
+			NextUse: NoNextUse,
+			Site:    site,
+			Type:    r.Type,
 		})
 	}
-	last := make(map[uint64]int, 1<<12)
+	last := make([]int, len(sites))
+	for i := range last {
+		last[i] = NoNextUse
+	}
 	for i := len(accesses) - 1; i >= 0; i-- {
-		pc := accesses[i].PC
-		if j, ok := last[pc]; ok {
-			accesses[i].NextUse = j
-		}
-		last[pc] = i
+		a := &accesses[i]
+		a.NextUse = last[a.Site]
+		last[a.Site] = i
 	}
 	return accesses
+}
+
+// SiteCount returns one more than the largest Site in accesses: the length
+// of a slice indexed by site. For a whole AccessStream it is the number of
+// static taken branches; a sub-slice of one keeps the whole stream's
+// numbering, so its sites need not start at zero or be contiguous.
+func SiteCount(accesses []Access) int {
+	n := int32(-1)
+	for i := range accesses {
+		n = max(n, accesses[i].Site)
+	}
+	return int(n) + 1
 }

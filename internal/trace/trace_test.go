@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"thermometer/internal/xrand"
 )
@@ -128,8 +129,10 @@ func TestAccessStream(t *testing.T) {
 	if acc[3].Type != Return {
 		t.Errorf("access 3 type = %v, want ret", acc[3].Type)
 	}
-	if acc[1].RecordIndex != 1 || acc[2].RecordIndex != 3 {
-		t.Errorf("record indices wrong: %d, %d", acc[1].RecordIndex, acc[2].RecordIndex)
+	for i, want := range []int32{0, 1, 0, 2} {
+		if acc[i].Site != want {
+			t.Errorf("access %d site = %d, want %d", i, acc[i].Site, want)
+		}
 	}
 }
 
@@ -173,6 +176,45 @@ func TestAccessStreamNextUseProperty(t *testing.T) {
 				t.Fatalf("iter %d: access %d NextUse = %d, want %d", iter, i, acc[i].NextUse, want)
 			}
 		}
+	}
+}
+
+// checkSites verifies acc's site numbering: sites are numbered in
+// first-access order, with one site per PC and one PC per site.
+func checkSites(t *testing.T, acc []Access) {
+	t.Helper()
+	var pcOf []uint64 // site → PC
+	siteOf := make(map[uint64]int32)
+	for i := range acc {
+		a := &acc[i]
+		s, seen := siteOf[a.PC]
+		if !seen {
+			s = int32(len(pcOf))
+			siteOf[a.PC] = s
+			pcOf = append(pcOf, a.PC)
+		}
+		if a.Site != s {
+			t.Fatalf("access %d (PC %#x) site = %d, want %d", i, a.PC, a.Site, s)
+		}
+	}
+	if n := SiteCount(acc); n != len(pcOf) {
+		t.Fatalf("SiteCount = %d, want %d distinct PCs", n, len(pcOf))
+	}
+}
+
+// TestAccessStreamSites: on random traces the stream numbers its static
+// branches in first-access order, one site per PC and one PC per site, and
+// an Access stays 32 bytes.
+func TestAccessStreamSites(t *testing.T) {
+	if size := unsafe.Sizeof(Access{}); size != 32 {
+		t.Errorf("Access is %d bytes, want 32", size)
+	}
+	r := xrand.New(99)
+	for iter := 0; iter < 20; iter++ {
+		checkSites(t, randomTrace(r, 500).AccessStream())
+	}
+	if n := SiteCount(nil); n != 0 {
+		t.Errorf("SiteCount(nil) = %d, want 0", n)
 	}
 }
 

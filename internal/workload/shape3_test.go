@@ -42,8 +42,8 @@ func TestCategoryBreakdownDiagnostics(t *testing.T) {
 				missTherm[cat]++
 			}
 		}
-		for pc, bp := range res.PerBranch {
-			missOPT[ht.Lookup(pc)] += bp.Taken - bp.Hits
+		for _, bp := range res.PerBranch {
+			missOPT[ht.Lookup(bp.PC)] += bp.Taken - bp.Hits
 		}
 		for c, lbl := range []string{"cold", "warm", "hot"} {
 			t.Logf("%-10s %-4s: static=%6d dyn=%8d missTherm=%7d missOPT=%7d",
