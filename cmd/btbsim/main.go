@@ -22,8 +22,9 @@
 //	btbsim -trace kafka0.trc -heatmap heat.csv                 # per-set series
 //	btbsim -trace kafka0.trc -attrib -http :6060               # live /debug/attrib
 //
-// Hint-quality audit (package hintqual): score the attached hint table live
-// against a Belady shadow — coverage, per-bucket confusion, temperature drift:
+// Hint-quality audit (package attribution): score the attached hint table
+// live against a Belady shadow — coverage, per-bucket confusion, temperature
+// drift. With -attrib as well, one recorder runs both audits:
 //
 //	btbsim -trace kafka1.trc -policy thermometer -hints kafka.hints -hintqual
 //	btbsim -trace kafka1.trc -policy thermometer -hints kafka.hints -hintqual -http :6060
@@ -42,7 +43,6 @@ import (
 	"thermometer/internal/bpred"
 	"thermometer/internal/btb"
 	"thermometer/internal/core"
-	"thermometer/internal/hintqual"
 	"thermometer/internal/policy"
 	"thermometer/internal/profile"
 	"thermometer/internal/telemetry"
@@ -167,35 +167,32 @@ func main() {
 		}
 	}
 
-	// Attach the attribution recorder when requested. The heatmap samples on
-	// the telemetry epoch grid, so -heatmap also forces an observer below.
-	var att *attribution.Recorder
-	if *attrib || *heatmapPath != "" {
+	// Attach the audit recorder when requested: the regret audit for
+	// -attrib/-heatmap, the hint-quality audit for -hintqual, one recorder
+	// for both. The heatmap samples and the drift windows close on the
+	// telemetry epoch grid, so either also forces an observer below.
+	var att, hq *attribution.Recorder
+	if *attrib || *heatmapPath != "" || *hintQual {
 		if *twoLevel {
-			fatalf("-attrib/-heatmap require a monolithic BTB (drop -twolevel)")
+			fatalf("-attrib/-heatmap/-hintqual require a monolithic BTB (drop -twolevel)")
 		}
-		if *regretTop <= 0 {
-			fatalf("-regret-top must be positive")
+		rec := attribution.New(attribution.Options{})
+		if *attrib || *heatmapPath != "" {
+			if *regretTop <= 0 {
+				fatalf("-regret-top must be positive")
+			}
+			att = rec
 		}
-		att = attribution.New(attribution.Options{})
-		cfg.Attribution = att
-	}
-
-	// Attach the hint-quality audit when requested. Its drift windows close
-	// on the telemetry epoch grid, so -hintqual also forces an observer below.
-	var hq *hintqual.Recorder
-	if *hintQual {
-		if *twoLevel {
-			fatalf("-hintqual requires a monolithic BTB (drop -twolevel)")
+		if *hintQual {
+			if *hintsPath == "" {
+				fatalf("-hintqual requires -hints (there is no hint table to audit)")
+			}
+			if *hintQualTop <= 0 {
+				fatalf("-hintqual-top must be positive")
+			}
+			hq = rec
 		}
-		if *hintsPath == "" {
-			fatalf("-hintqual requires -hints (there is no hint table to audit)")
-		}
-		if *hintQualTop <= 0 {
-			fatalf("-hintqual-top must be positive")
-		}
-		hq = hintqual.New(hintqual.Options{})
-		cfg.HintQual = hq
+		cfg.Attribution, cfg.HintQual = att, hq
 	}
 
 	// Attach the observer when any telemetry sink is requested.
@@ -305,7 +302,7 @@ func main() {
 	}
 	if hq != nil {
 		fmt.Println()
-		if err := hq.WriteText(os.Stdout, *hintQualTop); err != nil {
+		if err := hq.WriteHintText(os.Stdout, *hintQualTop); err != nil {
 			fatalf("write hint-quality report: %v", err)
 		}
 	}

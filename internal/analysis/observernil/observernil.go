@@ -36,7 +36,6 @@ var GuardedTypes = []string{
 	"thermometer/internal/telemetry.Tracer",
 	"thermometer/internal/core.observerState",
 	"thermometer/internal/attribution.Recorder",
-	"thermometer/internal/hintqual.Recorder",
 }
 
 // Analyzer is the observernil pass.

@@ -23,7 +23,6 @@ import (
 	"thermometer/internal/bpred"
 	"thermometer/internal/btb"
 	"thermometer/internal/cache"
-	"thermometer/internal/hintqual"
 	"thermometer/internal/profile"
 	"thermometer/internal/telemetry"
 )
@@ -108,22 +107,24 @@ type Config struct {
 	// per simulated block (BenchmarkObserverDisabled quantifies it).
 	Observer *telemetry.Observer
 
-	// Attribution, when non-nil, attaches the miss-attribution and
-	// replacement-regret audit layer (see package attribution): every BTB
-	// miss is classified compulsory/capacity/conflict against Belady shadow
-	// models and every replacement decision is scored against OPT's choice.
+	// Attribution, when non-nil, runs the recorder's miss-attribution and
+	// replacement-regret audit (see package attribution): every BTB miss is
+	// classified compulsory/capacity/conflict against Belady shadow models
+	// and every replacement decision is scored against OPT's choice.
 	// Requires a monolithic BTB (no ShotgunPartition or TwoLevelBTB). Its
 	// heatmap samples on the Observer's epoch grid when one is attached.
 	Attribution *attribution.Recorder
 
-	// HintQual, when non-nil, attaches the hint-quality audit layer (see
-	// package hintqual): every demand BTB access is scored against a
+	// HintQual, when non-nil, runs the recorder's hint-quality audit (see
+	// package attribution): every demand BTB access is scored against a
 	// same-geometry Belady shadow to measure hint coverage, per-bucket
 	// confusion against the profiled temperatures, and windowed temperature
 	// drift. Requires a monolithic BTB (no ShotgunPartition or TwoLevelBTB).
 	// Its drift windows close on the Observer's epoch grid when one is
-	// attached; without an Observer the whole run is a single window.
-	HintQual *hintqual.Recorder
+	// attached; without an Observer the whole run is a single window. One
+	// recorder may be attached through both fields: it runs both audits as
+	// one consumer.
+	HintQual *attribution.Recorder
 }
 
 // TwoLevelBTBConfig sizes the optional two-level BTB organization.

@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 
+	"thermometer/internal/attribution"
 	"thermometer/internal/btb"
 	"thermometer/internal/core"
-	"thermometer/internal/hintqual"
 	"thermometer/internal/policy"
 	"thermometer/internal/profile"
 	"thermometer/internal/telemetry"
@@ -16,7 +16,7 @@ func init() {
 	Registry["hintqual"] = HintQualFig
 }
 
-// HintQualFig runs the hint-quality audit (package hintqual) over three
+// HintQualFig runs the hint-quality audit (package attribution) over three
 // freshness grades of Thermometer hint table per application — profiled from
 // the same input the run executes, from a different input of the same
 // application, and from a stale (heavily truncated) capture of the same
@@ -49,15 +49,15 @@ func HintQualFig(c *Context) []*Table {
 			{"stale", staleHints(tr, cfg.BTBEntries, cfg.BTBWays)},
 		}
 		for v, g := range grades {
-			hq := hintqual.New(hintqual.Options{})
+			hq := attribution.New(attribution.Options{})
 			r := runPolicy(tr, func() btb.Policy { return policy.NewThermometer() }, g.ht,
 				func(cc *core.Config) {
 					cc.HintQual = hq
 					// The observer supplies the epoch grid drift windows
 					// close on; the audit itself never perturbs the run.
-					cc.Observer = telemetry.New(telemetry.Options{EpochInterval: hintqual.DefaultWindow})
+					cc.Observer = telemetry.New(telemetry.Options{EpochInterval: attribution.DefaultWindow})
 				})
-			s := hq.Summary()
+			s := hq.HintSummary()
 			rows[i*variants+v] = []string{app, g.name,
 				pct(s.CoverageAccesses), pct(s.AccuracyBranches),
 				fmt.Sprintf("%d", s.OverPredicted), fmt.Sprintf("%d", s.UnderPredicted),

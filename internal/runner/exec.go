@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"sync"
 
+	"thermometer/internal/attribution"
 	"thermometer/internal/core"
-	"thermometer/internal/hintqual"
 	"thermometer/internal/policy"
 	"thermometer/internal/profile"
 	"thermometer/internal/replay"
@@ -45,7 +45,7 @@ type Outcome struct {
 	// HintQual is the hint-quality audit summary, present only when the
 	// spec requested it. Like every other field it is a pure function of
 	// the normalized spec (the audit taps a deterministic Belady shadow).
-	HintQual *hintqual.Summary `json:"hintqual,omitempty"`
+	HintQual *attribution.HintSummary `json:"hintqual,omitempty"`
 }
 
 // traceSlot is a single-flight cache entry: the map lookup is cheap and
@@ -180,16 +180,16 @@ func (e *Engine) execute(s Spec, sc spanScope) (*Outcome, error) {
 		cfg.BTBSets = s.BTBSets
 		cfg.NewPolicy = newPolicy
 		cfg.Hints = ht
-		var hq *hintqual.Recorder
+		var hq *attribution.Recorder
 		if s.HintQual {
 			// A minimal observer supplies the epoch grid the drift windows
 			// close on; no event tracing, so the tap stays cheap. The fixed
 			// window keeps outcomes pure functions of the spec, and the
 			// audit never perturbs the simulated numbers (pinned by
 			// TestHintQualObservationGolden).
-			hq = hintqual.New(hintqual.Options{})
+			hq = attribution.New(attribution.Options{})
 			cfg.HintQual = hq
-			cfg.Observer = telemetry.New(telemetry.Options{EpochInterval: hintqual.DefaultWindow})
+			cfg.Observer = telemetry.New(telemetry.Options{EpochInterval: attribution.DefaultWindow})
 		}
 		r := core.Run(tr, cfg)
 		sim.EndDetail("timing")
@@ -208,7 +208,7 @@ func (e *Engine) execute(s Spec, sc spanScope) (*Outcome, error) {
 		out.ICacheStall = r.ICacheStall
 		out.DataStall = r.DataStall
 		if hq != nil {
-			sum := hq.Summary()
+			sum := hq.HintSummary()
 			out.HintQual = &sum
 		}
 		agg.End()

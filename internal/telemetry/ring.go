@@ -2,7 +2,7 @@ package telemetry
 
 // Ring is a bounded buffer that overwrites its oldest element when full, so
 // the last Cap() pushes of an unbounded stream stay available at a fixed
-// memory cost. The event tracer, the span tracer and the audit recorders'
+// memory cost. The event tracer, the span tracer and the audit recorder's
 // decision, heatmap and drift-window series all keep their history in one.
 // Not safe for concurrent use; owners serialize access.
 type Ring[T any] struct {
@@ -32,6 +32,16 @@ func (r *Ring[T]) Slice() []T {
 		out = append(out, r.buf[r.next:]...)
 	}
 	return append(out, r.buf[:r.next]...)
+}
+
+// At returns the element of the n-th push since the last Reset (0-based),
+// for in-place update, or nil once it has been overwritten or if there has
+// been no such push.
+func (r *Ring[T]) At(n uint64) *T {
+	if n >= r.total || r.total-n > uint64(len(r.buf)) {
+		return nil
+	}
+	return &r.buf[n%uint64(len(r.buf))]
 }
 
 // Cap returns the ring capacity.
