@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -307,6 +309,23 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Read(bytes.NewReader([]byte("THRMTRC1"))); err == nil {
 		t.Fatal("truncated trace accepted")
+	}
+}
+
+// The header's record count is untrusted: a header declaring 2^20 records
+// over an empty body must fail without Read preallocating room for them
+// (24 MiB of records; the capped preallocation is 1.5 MiB).
+func TestReadCapsPreallocation(t *testing.T) {
+	data := binary.AppendUvarint(binary.AppendUvarint([]byte(magic), 0), 1<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a header declaring 2^20 records over an empty body was accepted")
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 4<<20 {
+		t.Fatalf("Read allocated %.2f MiB for an empty body, want under 4 MiB", float64(d)/(1<<20))
 	}
 }
 
