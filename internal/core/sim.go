@@ -289,7 +289,7 @@ func Run(tr *trace.Trace, cfg Config) *Result {
 	if cfg.Observer != nil {
 		s.obs = newObserverState(cfg.Observer, res, bank, twoLevel)
 	}
-	s.fan = attachConsumers(&cfg, res, bank, twoLevel, s.obs)
+	s.fan = attachConsumers(&cfg, res, accesses, bank, twoLevel, s.obs)
 
 	recs, fe := tr.Records, s.fe.recs
 	warmupEnd := int(cfg.WarmupFrac * float64(len(recs)))
