@@ -8,12 +8,11 @@
 //	thermolint ./...                  # whole module
 //	thermolint ./internal/...         # subtree
 //	thermolint -json ./...            # machine-readable findings
-//	go vet -vettool=$(which thermolint) ./...   # as a vet tool
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load error.
 //
-// Analyzers: boundedalloc, ctxflow, detrange, exhaustive, goexit,
-// lockdiscipline, noambient, observernil, orderedfloat, policycontract.
+// Analyzers: ctxflow, detrange, goexit, lockdiscipline, noambient,
+// observernil, orderedfloat.
 // Suppress a finding with `//lint:allow <analyzer> <reason>` on the flagged
 // line or the line above; the analyzer name and the reason are mandatory,
 // and the suppression silences only that analyzer.
@@ -29,53 +28,31 @@ import (
 	"strings"
 
 	"thermometer/internal/analysis"
-	"thermometer/internal/analysis/boundedalloc"
 	"thermometer/internal/analysis/ctxflow"
 	"thermometer/internal/analysis/detrange"
-	"thermometer/internal/analysis/exhaustive"
 	"thermometer/internal/analysis/goexit"
 	"thermometer/internal/analysis/lockdiscipline"
 	"thermometer/internal/analysis/noambient"
 	"thermometer/internal/analysis/observernil"
 	"thermometer/internal/analysis/orderedfloat"
-	"thermometer/internal/analysis/policycontract"
 )
 
 var suite = []*analysis.Analyzer{
-	boundedalloc.Analyzer,
 	ctxflow.Analyzer,
 	detrange.Analyzer,
-	exhaustive.Analyzer,
 	goexit.Analyzer,
 	lockdiscipline.Analyzer,
 	noambient.Analyzer,
 	observernil.Analyzer,
 	orderedfloat.Analyzer,
-	policycontract.Analyzer,
 }
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as JSON")
-	version := flag.String("V", "", "print version and exit (go vet protocol: -V=full)")
-	flagDefs := flag.Bool("flags", false, "print the tool's analyzer flags as JSON (go vet protocol)")
 	flag.Usage = usage
 	flag.Parse()
 
-	// `go vet -vettool` probes the tool with -V=full (version/build ID) and
-	// -flags (supported analyzer flags) before handing it a .cfg file;
-	// answer all three forms of the protocol.
-	if *version != "" {
-		fmt.Printf("thermolint version 1 buildID=thermolint\n")
-		return
-	}
-	if *flagDefs {
-		fmt.Println("[]") // no per-analyzer flags to expose to the vet driver
-		return
-	}
 	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(vettoolRun(args[0]))
-	}
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
@@ -124,15 +101,15 @@ func expand(loader *analysis.Loader, root, cwd, pattern string) ([]*analysis.Pac
 	if !filepath.IsAbs(dir) {
 		dir = filepath.Join(cwd, dir)
 	}
-	if !strings.HasPrefix(dir, root) {
+	// Containment is a relative-path test: a sibling whose name extends
+	// the root's ("repo2" beside "repo") shares its string prefix but is
+	// outside the module.
+	rel, err := filepath.Rel(root, dir)
+	if err != nil || rel == ".." || strings.HasPrefix(rel, ".."+string(filepath.Separator)) {
 		return nil, fmt.Errorf("pattern %q resolves outside the module at %s", pattern, root)
 	}
 	if recursive {
 		return loader.LoadTree(dir)
-	}
-	rel, err := filepath.Rel(root, dir)
-	if err != nil {
-		return nil, err
 	}
 	path := loaderPath(rel)
 	pkg, err := loader.Load(path)
@@ -192,62 +169,6 @@ func report(diags []analysis.Diagnostic, asJSON bool, root string) {
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "thermolint: %d finding(s)\n", len(diags))
 	}
-}
-
-// vettoolRun implements enough of the `go vet -vettool` unitchecker
-// protocol to be usable: it reads the JSON action config, re-typechecks the
-// package from source (no export data needed), and prints diagnostics.
-func vettoolRun(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fatal(err)
-	}
-	var cfg struct {
-		ImportPath string
-		Dir        string
-		GoFiles    []string
-	}
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fatal(err)
-	}
-	if len(cfg.GoFiles) == 0 {
-		return 0
-	}
-	dir := cfg.Dir
-	if dir == "" {
-		dir = filepath.Dir(cfg.GoFiles[0])
-	}
-	root, modPath, err := analysis.ModuleRoot(dir)
-	if err != nil {
-		// Not our module (e.g. vetting a dependency): nothing to check.
-		return 0
-	}
-	// go vet drives the tool over the whole import graph, stdlib included;
-	// only packages of the enclosing module are in scope. External test
-	// packages ("foo_test" variants) have no directory of their own and the
-	// loader skips test files anyway.
-	if cfg.ImportPath != modPath && !strings.HasPrefix(cfg.ImportPath, modPath+"/") {
-		return 0
-	}
-	if strings.HasSuffix(cfg.ImportPath, "_test") || strings.HasSuffix(cfg.ImportPath, ".test") {
-		return 0
-	}
-	loader := analysis.NewModuleLoader(root, modPath)
-	pkg, err := loader.Load(cfg.ImportPath)
-	if err != nil {
-		fatal(err)
-	}
-	diags, err := analysis.Run([]*analysis.Package{pkg}, suite)
-	if err != nil {
-		fatal(err)
-	}
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
 }
 
 func usage() {

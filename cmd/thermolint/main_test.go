@@ -42,7 +42,7 @@ func TestReportJSONSorted(t *testing.T) {
 		{File: abs("internal/b/b.go"), Line: 3, Column: 1, Analyzer: "goexit", Message: "leak"},
 		{File: abs("internal/a/a.go"), Line: 9, Column: 2, Analyzer: "ctxflow", Message: "ambient"},
 		{File: abs("internal/a/a.go"), Line: 4, Column: 7, Analyzer: "orderedfloat", Message: "racy sum"},
-		{File: abs("internal/a/a.go"), Line: 4, Column: 7, Analyzer: "boundedalloc", Message: "unclamped"},
+		{File: abs("internal/a/a.go"), Line: 4, Column: 7, Analyzer: "lockdiscipline", Message: "unguarded"},
 		{File: filepath.FromSlash("/elsewhere/x.go"), Line: 1, Column: 1, Analyzer: "detrange", Message: "outside module"},
 	}
 	out := captureStdout(t, func() { report(diags, true, root) })
@@ -55,7 +55,7 @@ func TestReportJSONSorted(t *testing.T) {
 	}
 	want := []analysis.Diagnostic{
 		{File: filepath.FromSlash("/elsewhere/x.go"), Line: 1, Column: 1, Analyzer: "detrange", Message: "outside module"},
-		{File: filepath.FromSlash("internal/a/a.go"), Line: 4, Column: 7, Analyzer: "boundedalloc", Message: "unclamped"},
+		{File: filepath.FromSlash("internal/a/a.go"), Line: 4, Column: 7, Analyzer: "lockdiscipline", Message: "unguarded"},
 		{File: filepath.FromSlash("internal/a/a.go"), Line: 4, Column: 7, Analyzer: "orderedfloat", Message: "racy sum"},
 		{File: filepath.FromSlash("internal/a/a.go"), Line: 9, Column: 2, Analyzer: "ctxflow", Message: "ambient"},
 		{File: filepath.FromSlash("internal/b/b.go"), Line: 3, Column: 1, Analyzer: "goexit", Message: "leak"},
@@ -80,13 +80,12 @@ func TestReportJSONEmpty(t *testing.T) {
 	}
 }
 
-// TestSuiteComplete pins the analyzer roster: all ten checks must be wired
-// into the driver, each exactly once.
+// TestSuiteComplete pins the analyzer roster: all seven checks must be
+// wired into the driver, each exactly once.
 func TestSuiteComplete(t *testing.T) {
 	want := []string{
-		"boundedalloc", "ctxflow", "detrange", "exhaustive", "goexit",
-		"lockdiscipline", "noambient", "observernil", "orderedfloat",
-		"policycontract",
+		"ctxflow", "detrange", "goexit", "lockdiscipline", "noambient",
+		"observernil", "orderedfloat",
 	}
 	seen := make(map[string]bool, len(suite))
 	for _, a := range suite {
@@ -106,9 +105,9 @@ func TestSuiteComplete(t *testing.T) {
 }
 
 // TestEndToEndTempModule loads a throwaway module named "thermometer" (so
-// the Scope regexps of the new analyzers apply) and checks that findings
-// from several analyzers surface through the same Run/report path main()
-// uses, in sorted order.
+// the analyzers' Scope regexps apply) and checks that findings from two
+// analyzers surface through the same Run/report path main() uses, in sorted
+// order.
 func TestEndToEndTempModule(t *testing.T) {
 	dir := t.TempDir()
 	write := func(rel, src string) {
@@ -124,12 +123,11 @@ func TestEndToEndTempModule(t *testing.T) {
 	write("go.mod", "module thermometer\n\ngo 1.22\n")
 	write("internal/runner/r.go", `package runner
 
-import "strconv"
+import "os"
 
-// Alloc trips boundedalloc: the size comes straight off the wire.
-func Alloc(s string) []byte {
-	n, _ := strconv.Atoi(s)
-	return make([]byte, n)
+// Workers trips noambient: the pool width comes from the environment.
+func Workers() string {
+	return os.Getenv("WORKERS")
 }
 
 // Spin trips goexit: the goroutine has no termination path.
@@ -170,10 +168,48 @@ func Spin(ch chan int) {
 			}
 		}
 	}
-	if byAnalyzer["boundedalloc"] == 0 {
-		t.Errorf("expected a boundedalloc finding, got %v\n%s", byAnalyzer, out)
+	if byAnalyzer["noambient"] == 0 {
+		t.Errorf("expected a noambient finding, got %v\n%s", byAnalyzer, out)
 	}
 	if byAnalyzer["goexit"] == 0 {
 		t.Errorf("expected a goexit finding, got %v\n%s", byAnalyzer, out)
+	}
+}
+
+// TestExpandStaysInModule pins the module boundary: a pattern resolving to a
+// sibling directory whose name extends the module root's ("mod2" next to
+// "mod") is rejected, not analyzed under import paths no Scope matches.
+func TestExpandStaysInModule(t *testing.T) {
+	parent := t.TempDir()
+	root := filepath.Join(parent, "mod")
+	for _, dir := range []string{root, filepath.Join(parent, "mod2")} {
+		pkg := filepath.Join(dir, "internal", "a")
+		if err := os.MkdirAll(pkg, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(pkg, "a.go"), []byte("package a\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(root, "go.mod"), []byte("module thermometer\n\ngo 1.22\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loader := analysis.NewModuleLoader(root, "thermometer")
+	for _, pattern := range []string{
+		"../mod2/...", "../mod2/internal/a", filepath.Join(parent, "mod2", "internal", "a"), "..",
+	} {
+		if pkgs, err := expand(loader, root, root, pattern); err == nil {
+			t.Errorf("expand(%q) loaded %d package(s) from outside the module", pattern, len(pkgs))
+		}
+	}
+	for _, pattern := range []string{"./...", "./internal/a", filepath.Join(root, "internal", "a")} {
+		pkgs, err := expand(loader, root, root, pattern)
+		if err != nil {
+			t.Errorf("expand(%q): %v", pattern, err)
+			continue
+		}
+		if len(pkgs) != 1 || pkgs[0].Path != "thermometer/internal/a" {
+			t.Errorf("expand(%q) = %d package(s), want thermometer/internal/a", pattern, len(pkgs))
+		}
 	}
 }

@@ -10,9 +10,9 @@
 // deliberately mirrors x/tools so analyzers can be ported either way with
 // minimal edits.
 //
-// The domain analyzers themselves live in sibling packages (detrange,
-// noambient, observernil, policycontract, exhaustive) and are assembled into
-// a suite by cmd/thermolint.
+// The domain analyzers themselves live in sibling packages (ctxflow,
+// detrange, goexit, lockdiscipline, noambient, observernil, orderedfloat)
+// and are assembled into a suite by cmd/thermolint.
 package analysis
 
 import (
@@ -58,8 +58,7 @@ type Pass struct {
 	Info     *types.Info
 
 	diags *[]Diagnostic
-	pkg   *Package   // owning package, for the shared call-graph cache
-	facts *FactStore // shared across the packages of one Run
+	pkg   *Package // owning package, for the shared call-graph cache
 }
 
 // Reportf records a finding at pos.

@@ -3,17 +3,15 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"reflect"
 )
 
 // CallGraph is the per-package static call graph: one node per function or
 // method declared in the package, one edge per direct call between them.
 // Calls through interfaces, function values, and go/defer thunks whose callee
 // cannot be resolved to an in-package declaration simply have no edge — the
-// graph is deliberately lightweight, built for the concurrency-contract
-// analyzers (lockdiscipline, ctxflow, boundedalloc) to follow a lock or a
-// tainted value through one or two direct hops, not for whole-program
-// reachability.
+// graph is deliberately lightweight, built for lockdiscipline to follow a
+// lock through the callers of an xxxLocked helper and for goexit to find the
+// body of a spawned method, not for whole-program reachability.
 type CallGraph struct {
 	nodes map[*types.Func]*CallNode
 }
@@ -25,19 +23,15 @@ type CallNode struct {
 	// Decl is the syntax of the declaration (never nil: only declared
 	// functions get nodes).
 	Decl *ast.FuncDecl
-	// Calls are the direct calls this function makes to other functions
-	// declared in the same package, in source order. Calls made inside
-	// function literals nested in the body are attributed to this node.
-	Calls []*CallSite
 	// CalledBy are the incoming edges: every in-package call site whose
-	// callee is this function.
+	// callee is this function, in source order. A call made inside a
+	// function literal is attributed to the declaration enclosing it.
 	CalledBy []*CallSite
 }
 
 // CallSite is one direct call edge.
 type CallSite struct {
 	Caller *CallNode
-	Callee *CallNode
 	// Call is the call expression at the site (inside Caller's body).
 	Call *ast.CallExpr
 }
@@ -52,8 +46,7 @@ func (g *CallGraph) Node(fn *types.Func) *CallNode {
 }
 
 // CallGraph returns the package's call graph, building it on first use. The
-// graph is cached on the package, so the ten-analyzer suite pays the build
-// cost once.
+// graph is cached on the package, so the suite pays the build cost once.
 func (p *Pass) CallGraph() *CallGraph {
 	if p.pkg != nil && p.pkg.cg != nil {
 		return p.pkg.cg
@@ -106,9 +99,7 @@ func buildCallGraph(files []*ast.File, info *types.Info) *CallGraph {
 				if !ok {
 					return true
 				}
-				site := &CallSite{Caller: caller, Callee: target, Call: call}
-				caller.Calls = append(caller.Calls, site)
-				target.CalledBy = append(target.CalledBy, site)
+				target.CalledBy = append(target.CalledBy, &CallSite{Caller: caller, Call: call})
 				return true
 			})
 		}
@@ -134,55 +125,4 @@ func CalleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 		return fn
 	}
 	return nil
-}
-
-// A FactStore carries analyzer-exported facts about objects across the
-// packages of one Run, mirroring the x/tools fact mechanism in miniature:
-// an analyzer exports a fact about a types.Object (usually a *types.Func or
-// *types.Var) while analyzing the package that declares it, and imports it —
-// by pointer type — from any later package of the same run. Facts are
-// namespaced per analyzer, so two analyzers can attach different facts to
-// the same object.
-type FactStore struct {
-	m map[factKey]any
-}
-
-type factKey struct {
-	analyzer string
-	obj      types.Object
-	typ      reflect.Type
-}
-
-// NewFactStore returns an empty store (Run creates one per invocation).
-func NewFactStore() *FactStore { return &FactStore{m: make(map[factKey]any)} }
-
-// ExportFact records fact (a non-nil pointer) about obj for this analyzer.
-// A later export of the same fact type to the same object overwrites.
-func (p *Pass) ExportFact(obj types.Object, fact any) {
-	if p.facts == nil || obj == nil {
-		return
-	}
-	v := reflect.ValueOf(fact)
-	if v.Kind() != reflect.Pointer || v.IsNil() {
-		panic("analysis: ExportFact requires a non-nil pointer fact")
-	}
-	p.facts.m[factKey{p.Analyzer.Name, obj, v.Type()}] = fact
-}
-
-// ImportFact copies a previously exported fact about obj into fact (a
-// non-nil pointer of the exported type) and reports whether one existed.
-func (p *Pass) ImportFact(obj types.Object, fact any) bool {
-	if p.facts == nil || obj == nil {
-		return false
-	}
-	v := reflect.ValueOf(fact)
-	if v.Kind() != reflect.Pointer || v.IsNil() {
-		panic("analysis: ImportFact requires a non-nil pointer fact")
-	}
-	stored, ok := p.facts.m[factKey{p.Analyzer.Name, obj, v.Type()}]
-	if !ok {
-		return false
-	}
-	v.Elem().Set(reflect.ValueOf(stored).Elem())
-	return true
 }

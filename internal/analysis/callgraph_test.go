@@ -63,79 +63,18 @@ func orphan() {}
 		return nil
 	}
 	outer, locked, helper, orphan := find("Outer"), find("locked"), find("helper"), find("orphan")
-	if len(outer.Calls) != 2 {
-		t.Fatalf("Outer.Calls = %d, want 2", len(outer.Calls))
-	}
-	if outer.Calls[0].Callee != locked || outer.Calls[1].Callee != helper {
-		t.Errorf("Outer edges resolved to %v, %v", outer.Calls[0].Callee.Func, outer.Calls[1].Callee.Func)
-	}
 	// locked is called from Outer directly and from helper's literal.
 	if len(locked.CalledBy) != 2 {
 		t.Fatalf("locked.CalledBy = %d, want 2", len(locked.CalledBy))
 	}
-	callers := map[string]bool{}
-	for _, site := range locked.CalledBy {
-		callers[site.Caller.Func.Name()] = true
+	if locked.CalledBy[0].Caller != outer || locked.CalledBy[1].Caller != helper {
+		t.Errorf("locked callers resolved to %v, %v", locked.CalledBy[0].Caller.Func, locked.CalledBy[1].Caller.Func)
 	}
-	if !callers["Outer"] || !callers["helper"] {
-		t.Errorf("locked callers = %v, want Outer and helper", callers)
+	if len(helper.CalledBy) != 1 || helper.CalledBy[0].Caller != outer {
+		t.Errorf("helper.CalledBy = %v, want one site in Outer", helper.CalledBy)
 	}
-	if len(orphan.CalledBy) != 0 || len(orphan.Calls) != 0 {
-		t.Errorf("orphan has edges: %v %v", orphan.Calls, orphan.CalledBy)
-	}
-}
-
-type testFact struct{ Tag string }
-
-func TestFactStoreAcrossPackages(t *testing.T) {
-	loader := writeTestdata(t, map[string]string{
-		"factdep/a.go": `package factdep
-
-func Exported() int { return 1 }
-`,
-		"factuse/a.go": `package factuse
-
-import "factdep"
-
-func Use() int { return factdep.Exported() }
-`,
-	})
-	dep, err := loader.Load("factdep")
-	if err != nil {
-		t.Fatal(err)
-	}
-	use, err := loader.Load("factuse")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	a := &Analyzer{Name: "facttest", Doc: "t", Run: func(pass *Pass) error {
-		// In the declaring package, export; in the importing package, find
-		// the call and import the fact about its callee.
-		if pass.Pkg.Path() == "factdep" {
-			obj := pass.Pkg.Scope().Lookup("Exported")
-			pass.ExportFact(obj, &testFact{Tag: "blocking"})
-			return nil
-		}
-		pass.Inspect(func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			callee := CalleeOf(pass.Info, call)
-			if callee == nil {
-				return true
-			}
-			var f testFact
-			if !pass.ImportFact(callee, &f) || f.Tag != "blocking" {
-				t.Errorf("fact about %s not importable in %s", callee.Name(), pass.Pkg.Path())
-			}
-			return true
-		})
-		return nil
-	}}
-	if _, err := Run([]*Package{dep, use}, []*Analyzer{a}); err != nil {
-		t.Fatal(err)
+	if len(outer.CalledBy) != 0 || len(orphan.CalledBy) != 0 {
+		t.Errorf("uncalled functions have callers: Outer %v, orphan %v", outer.CalledBy, orphan.CalledBy)
 	}
 }
 

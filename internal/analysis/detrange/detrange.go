@@ -25,7 +25,7 @@ import (
 
 // Scope selects the package import paths subject to the determinism
 // contract. Tests override it to target testdata packages.
-var Scope = regexp.MustCompile(`^thermometer/internal/(belady|btb|policy|core|trace|profile|replay|metrics|telemetry|workload|prefetch|cache|bpred|experiments)(/|$)`)
+var Scope = regexp.MustCompile(`^thermometer/internal/(attribution|belady|btb|policy|core|trace|profile|replay|metrics|telemetry|workload|prefetch|cache|bpred|experiments)(/|$)`)
 
 // Analyzer is the detrange pass.
 var Analyzer = &analysis.Analyzer{

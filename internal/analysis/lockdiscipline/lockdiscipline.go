@@ -15,11 +15,7 @@
 // locks, and a function literal is analyzed as its own context: lock
 // ownership does not leak across concurrency or escape boundaries.
 //
-// The analyzer also flags copies of lock-bearing values: receivers,
-// parameters, results, assignments, and range variables whose non-pointer
-// type transitively contains a sync or sync/atomic type. A copied mutex is
-// a fork of its lock state and a classic source of "works until it
-// deadlocks" bugs.
+// Copies of lock-bearing values are go vet's copylocks check, which CI runs.
 package lockdiscipline
 
 import (
@@ -27,7 +23,6 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
-	"strings"
 
 	"thermometer/internal/analysis"
 )
@@ -36,8 +31,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "lockdiscipline",
 	Doc: "fields annotated `// guarded by <mu>` may only be accessed with " +
-		"that mutex held (directly or via every caller); lock-bearing " +
-		"structs must not be copied by value",
+		"that mutex held (directly or via every caller)",
 	Run: run,
 }
 
@@ -52,7 +46,6 @@ type guardInfo struct {
 
 func run(pass *analysis.Pass) error {
 	guarded := collectGuards(pass)
-	checkCopies(pass)
 	if len(guarded) == 0 {
 		return nil
 	}
@@ -190,116 +183,4 @@ func isReceiverIdent(pass *analysis.Pass, e ast.Expr, decl *ast.FuncDecl) bool {
 	}
 	obj := pass.Info.Uses[id]
 	return obj != nil && obj == pass.Info.Defs[decl.Recv.List[0].Names[0]]
-}
-
-// --- copy-by-value of lock-bearing structs ---
-
-func checkCopies(pass *analysis.Pass) {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				checkFieldList(pass, n.Recv, "receiver")
-				if n.Type.Params != nil {
-					checkFieldList(pass, n.Type.Params, "parameter")
-				}
-				if n.Type.Results != nil {
-					checkFieldList(pass, n.Type.Results, "result")
-				}
-			case *ast.FuncLit:
-				checkFieldList(pass, n.Type.Params, "parameter")
-			case *ast.AssignStmt:
-				for _, rhs := range n.Rhs {
-					// Copying an existing lock-bearing value (`x := *p`,
-					// `a = b`) forks its lock state; constructing one
-					// (composite literal, new, make) does not.
-					if isConstruction(rhs) {
-						continue
-					}
-					if t := pass.TypeOf(rhs); t != nil && len(n.Rhs) == len(n.Lhs) {
-						if name, bad := lockBearer(t); bad {
-							pass.Reportf(rhs.Pos(), "assignment copies %s by value; it contains %s", typeLabel(t), name)
-						}
-					}
-				}
-			case *ast.RangeStmt:
-				if n.Value != nil {
-					if t := pass.TypeOf(n.Value); t != nil {
-						if name, bad := lockBearer(t); bad {
-							pass.Reportf(n.Value.Pos(), "range value copies %s by value; it contains %s", typeLabel(t), name)
-						}
-					}
-				}
-			}
-			return true
-		})
-	}
-}
-
-func checkFieldList(pass *analysis.Pass, fl *ast.FieldList, what string) {
-	if fl == nil {
-		return
-	}
-	for _, fld := range fl.List {
-		t := pass.TypeOf(fld.Type)
-		if t == nil {
-			continue
-		}
-		if name, bad := lockBearer(t); bad {
-			pass.Reportf(fld.Pos(), "%s passes %s by value; it contains %s (pass a pointer)",
-				what, typeLabel(t), name)
-		}
-	}
-}
-
-func isConstruction(e ast.Expr) bool {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.CompositeLit, *ast.CallExpr:
-		return true
-	case *ast.UnaryExpr:
-		return e.Op == token.AND
-	}
-	return false
-}
-
-func typeLabel(t types.Type) string {
-	s := t.String()
-	if i := strings.LastIndex(s, "/"); i >= 0 {
-		s = s[i+1:]
-	}
-	return s
-}
-
-// lockBearer reports whether t (a non-pointer type) transitively contains a
-// sync or sync/atomic type, naming the first one found.
-func lockBearer(t types.Type) (string, bool) {
-	return lockBearerRec(t, make(map[types.Type]bool))
-}
-
-func lockBearerRec(t types.Type, seen map[types.Type]bool) (string, bool) {
-	if t == nil || seen[t] {
-		return "", false
-	}
-	seen[t] = true
-	t = types.Unalias(t)
-	if named, ok := t.(*types.Named); ok {
-		if pkg := named.Obj().Pkg(); pkg != nil {
-			switch pkg.Path() {
-			case "sync", "sync/atomic":
-				return pkg.Path() + "." + named.Obj().Name(), true
-			}
-		}
-		return lockBearerRec(named.Underlying(), seen)
-	}
-	switch u := t.(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if name, bad := lockBearerRec(u.Field(i).Type(), seen); bad {
-				return name, true
-			}
-		}
-	case *types.Array:
-		return lockBearerRec(u.Elem(), seen)
-	}
-	return "", false
 }

@@ -1,6 +1,6 @@
 // Package lockdtest exercises the lockdiscipline analyzer: guard
-// annotations, the xxxLocked caller-holds idiom, goroutine non-inheritance,
-// and copy-by-value of lock-bearing structs.
+// annotations, the xxxLocked caller-holds idiom, and goroutine
+// non-inheritance.
 package lockdtest
 
 import "sync"
@@ -86,35 +86,4 @@ func (s *S) waived() int {
 type Typo struct {
 	mu sync.Mutex
 	x  int // guarded by mutex // want `guarded-by annotation names "mutex", which is not a field of Typo`
-}
-
-// --- copy-by-value fixtures (Counter has no guarded fields so only the
-// copy checks fire) ---
-
-type Counter struct {
-	mu   sync.Mutex
-	hits int
-}
-
-var sinkC Counter
-
-func (c Counter) Snapshot() int { // want `receiver passes lockdtest.Counter by value; it contains sync.Mutex`
-	return c.hits
-}
-
-func byValueParam(c Counter) {} // want `parameter passes lockdtest.Counter by value; it contains sync.Mutex`
-
-func assignCopy(p *Counter) {
-	sinkC = *p // want `assignment copies lockdtest.Counter by value; it contains sync.Mutex`
-}
-
-func rangeCopy(list []Counter) {
-	for _, v := range list { // want `range value copies lockdtest.Counter by value; it contains sync.Mutex`
-		sinkC = v // want `assignment copies lockdtest.Counter by value; it contains sync.Mutex`
-	}
-}
-
-func construction() *Counter {
-	c := Counter{} // composite literal constructs in place: not a copy
-	return &c
 }

@@ -14,7 +14,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	for _, a := range analyzers {
 		known[a.Name] = true
 	}
-	facts := NewFactStore()
 	var out []Diagnostic
 	for _, pkg := range pkgs {
 		sup := buildSuppressions(pkg.Fset, pkg.Files, known)
@@ -29,7 +28,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				Info:     pkg.Info,
 				diags:    &diags,
 				pkg:      pkg,
-				facts:    facts,
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("analyzer %s on %s: %w", a.Name, pkg.Path, err)

@@ -2,7 +2,9 @@ package profile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -159,6 +161,26 @@ func TestReadHintsRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadHints(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty input accepted")
+	}
+}
+
+// TestReadHintsCapsPreallocation pins ReadHints' preallocation cap: the
+// header's hint count is untrusted, and a tiny corrupt file declaring 2^20
+// hints must fail without allocating a map sized for them.
+func TestReadHintsCapsPreallocation(t *testing.T) {
+	data := binary.AppendUvarint([]byte(hintMagic), 1) // one threshold
+	data = binary.AppendUvarint(data, 500000)          // 0.5 in parts per million
+	data = append(data, 0)                             // default category
+	data = binary.AppendUvarint(data, 1<<20)           // hint count, then no body
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadHints(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a header declaring 2^20 hints over an empty body was accepted")
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 4<<20 {
+		t.Fatalf("ReadHints allocated %.2f MiB for an empty body, want under 4 MiB", float64(d)/(1<<20))
 	}
 }
 
