@@ -128,8 +128,10 @@ func isContextType(t types.Type) bool {
 	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }
 
-// enclosingHasCtx reports whether the innermost enclosing function
-// declaration or literal takes a context.Context parameter.
+// enclosingHasCtx reports whether the enclosing function declaration, or a
+// function literal between it and the node, takes a context.Context
+// parameter. A literal closes over its parents' parameters, so a callback
+// inside a function that receives a ctx has that ctx in scope.
 func enclosingHasCtx(pass *analysis.Pass, stack []ast.Node) bool {
 	for i := len(stack) - 1; i >= 0; i-- {
 		var ft *ast.FuncType
@@ -146,7 +148,9 @@ func enclosingHasCtx(pass *analysis.Pass, stack []ast.Node) bool {
 				return true
 			}
 		}
-		return false // innermost function wins
+		if _, ok := stack[i].(*ast.FuncDecl); ok {
+			return false
+		}
 	}
 	return false
 }

@@ -23,6 +23,19 @@ func nilCtx(ctx context.Context) error {
 	return blockingWork(nil) // want `passes nil for the context.Context parameter of blockingWork`
 }
 
+func forEach(n int, fn func(i int)) {
+	for i := 0; i < n; i++ {
+		fn(i)
+	}
+}
+
+// nilInCallback: the literal closes over ctx, so it has one to thread.
+func nilInCallback(ctx context.Context) {
+	forEach(2, func(int) {
+		_ = blockingWork(nil) // want `passes nil for the context.Context parameter of blockingWork`
+	})
+}
+
 // nilWithoutCtx has no context of its own to thread, so the nil pass is not
 // this function's fault (the API shape is).
 func nilWithoutCtx() error {
