@@ -361,15 +361,11 @@ func (r *Recorder) OnProbe(kind btb.ProbeKind, cycle uint64, set, way int, req *
 	case btb.ProbeBypass:
 		r.decide(cycle, set, -1, req, b, req.PC, req.Temperature)
 		return
-	case btb.ProbeInsert:
-		// The branch is resident again: its pending decision (if any) has
-		// been charged for the last time.
-		b.pending = 0
 	case btb.ProbePrefetchFill:
 		if i, ok := r.index[req.PC]; ok {
 			r.branches[i].pending = 0
 		}
-	case btb.ProbeHit:
+	case btb.ProbeInsert, btb.ProbeHit:
 	}
 	r.nextUse[set*r.ways+way] = req.NextUse
 }
@@ -496,6 +492,8 @@ func (r *Recorder) decide(cycle uint64, set, way int, req *btb.Request, victim *
 		r.c.regret.AgreeOPT++
 	}
 	r.seq++
+	// An insert needs no reset of pending: an inserted branch misses again
+	// only after an eviction of it, which comes here first.
 	victim.pending, victim.pendingSet = r.seq, int32(set)
 	// The 2-bit hint encoding bounds a temperature at 3 (§3.4).
 	victim.pendingTemp = [2]uint8{min(victimTemp, 3), min(req.Temperature, 3)}
