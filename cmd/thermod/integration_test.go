@@ -110,32 +110,25 @@ func startThermod(t *testing.T) *proc {
 
 // goldenSpecs is the 4-policy × 8-workload grid in replay mode at a scale
 // that keeps each cell a few milliseconds.
-func goldenSpecs(t *testing.T) []runner.Spec {
-	t.Helper()
-	apps := []string{"cassandra", "clang", "drupal", "kafka", "mysql", "python", "tomcat", "wordpress"}
-	bases := make([]runner.Spec, len(apps))
-	for i, app := range apps {
-		bases[i] = runner.Spec{App: app, Mode: runner.ModeReplay, Scale: 64}
-	}
-	specs, err := runner.Grid(bases, []string{"lru", "srrip", "ghrp", "hawkeye"})
-	if err != nil {
-		t.Fatal(err)
+func goldenSpecs() []runner.Spec {
+	var specs []runner.Spec
+	for _, app := range []string{"cassandra", "clang", "drupal", "kafka", "mysql", "python", "tomcat", "wordpress"} {
+		for _, p := range []string{"lru", "srrip", "ghrp", "hawkeye"} {
+			specs = append(specs, runner.Spec{App: app, Mode: runner.ModeReplay, Scale: 64, Policy: p})
+		}
 	}
 	return specs
 }
 
-// goldenBytes renders results the way cmd/btbsim does: the sink JSON and CSV
-// encodings whose byte-identity the engine pins across pool widths.
-func goldenBytes(t *testing.T, results []runner.Result) (string, string) {
+// goldenJSON renders results as indented JSON, the encoding whose
+// byte-identity the engine pins across pool widths.
+func goldenJSON(t *testing.T, results []runner.Result) string {
 	t.Helper()
-	var j, c bytes.Buffer
-	if err := runner.WriteJSON(&j, results); err != nil {
+	b, err := json.MarshalIndent(results, "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := runner.WriteCSV(&c, results); err != nil {
-		t.Fatal(err)
-	}
-	return j.String(), c.String()
+	return string(b)
 }
 
 type jobDoc struct {
@@ -191,16 +184,12 @@ func TestSingleNodeGoldenByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a thermod process and runs a real sweep")
 	}
-	specs := goldenSpecs(t)
-	wantJSON, wantCSV := goldenBytes(t, (&runner.Engine{}).Sweep(context.Background(), specs))
+	specs := goldenSpecs()
+	want := goldenJSON(t, (&runner.Engine{}).Sweep(context.Background(), specs))
 
 	p := startThermod(t)
-	gotJSON, gotCSV := goldenBytes(t, submitAndWait(t, p.url, specs))
-	if gotJSON != wantJSON {
-		t.Fatalf("thermod JSON diverges from the in-process engine:\n%s", firstDiff(wantJSON, gotJSON))
-	}
-	if gotCSV != wantCSV {
-		t.Fatalf("thermod CSV diverges from the in-process engine:\n%s", firstDiff(wantCSV, gotCSV))
+	if got := goldenJSON(t, submitAndWait(t, p.url, specs)); got != want {
+		t.Fatalf("thermod JSON diverges from the in-process engine:\n%s", firstDiff(want, got))
 	}
 
 	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {

@@ -32,7 +32,6 @@ func TestScopeContract(t *testing.T) {
 		// its injected NowNanos clock only, so it stays under the contract
 		// even though its parent package is exempt.
 		"thermometer/internal/telemetry/span",
-		"thermometer/internal/perfsnap",
 	}
 	for _, pkg := range inScope {
 		if !Scope.MatchString(pkg) || Exempt.MatchString(pkg) {

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation. Each FigNN function returns one or more Tables whose rows are
-// the series the paper plots; cmd/paperfigs renders them and bench_test.go
-// wraps them in benchmarks.
+// the series the paper plots; cmd/paperfigs renders them (paperfigs -exp
+// <id> prints one).
 //
 // All experiments accept a Context, which fixes the trace scale (full-length
 // traces for the record, shorter ones for quick runs) and caches generated

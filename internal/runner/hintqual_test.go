@@ -31,14 +31,9 @@ func auditedGrid(t testing.TB) []Spec {
 // summary) reproduces the unaudited sweep's JSON byte-for-byte — the audit
 // adds data without disturbing a single simulated number.
 func TestHintQualObservationGolden(t *testing.T) {
-	render := func(specs []Spec, workers int) (string, []Result) {
-		e := &Engine{Workers: workers}
-		results := e.Sweep(context.Background(), specs)
-		var buf bytes.Buffer
-		if err := WriteJSON(&buf, results); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String(), results
+	sweep := func(specs []Spec, workers int) (string, []Result) {
+		results := (&Engine{Workers: workers}).Sweep(context.Background(), specs)
+		return render(t, results), results
 	}
 	strip := func(results []Result) string {
 		stripped := make([]Result, len(results))
@@ -52,20 +47,16 @@ func TestHintQualObservationGolden(t *testing.T) {
 			}
 			stripped[i] = r
 		}
-		var buf bytes.Buffer
-		if err := WriteJSON(&buf, stripped); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
+		return render(t, stripped)
 	}
 
-	w1, r1 := render(auditedGrid(t), 1)
-	w8, _ := render(auditedGrid(t), 8)
+	w1, r1 := sweep(auditedGrid(t), 1)
+	w8, _ := sweep(auditedGrid(t), 8)
 	if w1 != w8 {
 		t.Errorf("audited sweep differs between widths 1 and 8:\n%s\nvs\n%s", head(w1), head(w8))
 	}
 
-	_, plain := render(testGrid(t), 1)
+	_, plain := sweep(testGrid(t), 1)
 	if got, want := strip(r1), strip(plain); got != want {
 		t.Errorf("audited sweep (audit stripped) differs from unaudited sweep:\n%s\nvs\n%s",
 			head(got), head(want))

@@ -96,25 +96,3 @@ func TestSpecKeyCanonicalization(t *testing.T) {
 		t.Fatal("key not stable")
 	}
 }
-
-func TestGridExpansion(t *testing.T) {
-	bases := []Spec{{App: "kafka"}, {App: "mysql"}}
-	specs, err := Grid(bases, []string{"lru", "srrip", "thermometer"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(specs) != 6 {
-		t.Fatalf("grid size %d, want 6", len(specs))
-	}
-	for _, s := range specs {
-		if s.Policy == "thermometer" && !s.Hints {
-			t.Errorf("thermometer spec missing hints: %+v", s)
-		}
-		if s.Policy == "lru" && s.Hints {
-			t.Errorf("lru spec has hints: %+v", s)
-		}
-	}
-	if _, err := Grid(bases, []string{"bogus"}); err == nil {
-		t.Fatal("Grid accepted an unknown policy")
-	}
-}

@@ -29,24 +29,17 @@ func fakeNanos() func() int64 {
 // sweep at any pool width. Observation must be side-effect-free.
 func TestSpanObservationGolden(t *testing.T) {
 	specs := testGrid(t)
-	render := func(workers int, observed bool) string {
+	sweep := func(workers int, observed bool) string {
 		e := &Engine{Workers: workers}
-		var results []Result
-		if observed {
-			e.Spans = span.New(fakeNanos(), 4096)
-			results = e.SweepProgress(context.Background(), specs, func(Progress) {})
-		} else {
-			results = e.Sweep(context.Background(), specs)
+		if !observed {
+			return render(t, e.Sweep(context.Background(), specs))
 		}
-		var buf bytes.Buffer
-		if err := WriteJSON(&buf, results); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
+		e.Spans = span.New(fakeNanos(), 4096)
+		return render(t, e.SweepProgress(context.Background(), specs, func(Progress) {}))
 	}
-	plain := render(1, false)
+	plain := sweep(1, false)
 	for _, workers := range []int{1, 8} {
-		if got := render(workers, true); got != plain {
+		if got := sweep(workers, true); got != plain {
 			t.Errorf("observed sweep at width %d differs from unobserved output:\n%s\nvs\n%s",
 				workers, head(got), head(plain))
 		}
