@@ -100,7 +100,7 @@ func run(cfg config) error {
 
 	// One mux serves the job API and the telemetry/debug surface.
 	handler := obs.Handler([]telemetry.Mount{
-		{Pattern: "/v1/jobs", Handler: srv},
+		{Pattern: "/v1/jobs", Handler: srv.Handler()},
 		{Pattern: "/healthz", Handler: srv.Healthz()},
 		{Pattern: "/readyz", Handler: srv.Readyz()},
 		{Pattern: "/debug/sweep", Handler: srv.Dashboard()},

@@ -52,12 +52,6 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// ServeHTTP implements http.Handler so the server can be mounted directly
-// (telemetry.Mount hands the whole /v1/jobs subtree here).
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.Handler().ServeHTTP(w, r)
-}
-
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	accepted := s.opts.Clock().UTC()
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
