@@ -23,7 +23,7 @@ type Cache struct {
 	mem map[string]*list.Element // guarded by mu; key -> element holding *cacheEntry
 	dir string                   // "" = memory only
 
-	hits, misses, diskHits, promotions, evictions, diskErrors uint64 // guarded by mu
+	hits, misses, diskHits, evictions, diskErrors uint64 // guarded by mu
 }
 
 type cacheEntry struct {
@@ -72,7 +72,6 @@ func (c *Cache) Get(key string) (*Outcome, bool) {
 			if json.Unmarshal(b, &out) == nil {
 				c.mu.Lock()
 				c.diskHits++
-				c.promotions++
 				c.insertLocked(key, &out)
 				c.mu.Unlock()
 				return &out, true
@@ -139,12 +138,10 @@ func (c *Cache) Len() int {
 
 // CacheStats is a point-in-time copy of cache traffic counters.
 type CacheStats struct {
-	Hits     uint64 `json:"hits"`      // in-memory hits
-	DiskHits uint64 `json:"disk_hits"` // served from the on-disk store
-	// Promotions counts disk hits inserted into the memory LRU; it equals
-	// DiskHits today, but diverges if a non-promoting tier is ever added,
-	// so the metric is published separately.
-	Promotions uint64 `json:"promotions"`
+	Hits uint64 `json:"hits"` // in-memory hits
+	// DiskHits are served from the on-disk store; each is also promoted
+	// into the memory LRU.
+	DiskHits   uint64 `json:"disk_hits"`
 	Misses     uint64 `json:"misses"`
 	Evictions  uint64 `json:"evictions"`
 	DiskErrors uint64 `json:"disk_errors"`
@@ -155,7 +152,7 @@ func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Hits: c.hits, DiskHits: c.diskHits, Promotions: c.promotions,
+		Hits: c.hits, DiskHits: c.diskHits,
 		Misses: c.misses, Evictions: c.evictions, DiskErrors: c.diskErrors,
 	}
 }

@@ -285,7 +285,7 @@ func (e *Engine) setGauges() {
 // publishCacheStats mirrors the result cache's internal traffic counters
 // into the metrics registry so they show up on /metrics alongside the
 // engine's own runner_cache_hits/misses (which count only engine-level
-// lookups, not disk promotions or evictions).
+// lookups, not which tier served them or evictions).
 func (e *Engine) publishCacheStats() {
 	m := e.Metrics
 	if m == nil {
@@ -295,7 +295,6 @@ func (e *Engine) publishCacheStats() {
 		st := e.Cache.Stats()
 		m.SetCounter("runner_cache_mem_hits", st.Hits)
 		m.SetCounter("runner_cache_disk_hits", st.DiskHits)
-		m.SetCounter("runner_cache_promotions", st.Promotions)
 		m.SetCounter("runner_cache_lookup_misses", st.Misses)
 		m.SetCounter("runner_cache_evictions", st.Evictions)
 		m.SetCounter("runner_cache_disk_errors", st.DiskErrors)
