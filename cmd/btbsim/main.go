@@ -40,7 +40,6 @@ import (
 	"strings"
 
 	"thermometer/internal/attribution"
-	"thermometer/internal/bpred"
 	"thermometer/internal/btb"
 	"thermometer/internal/core"
 	"thermometer/internal/policy"
@@ -51,7 +50,7 @@ import (
 
 // version identifies the simulator build in run manifests; the VCS revision
 // (when built from a checkout) is appended from debug.ReadBuildInfo.
-const version = "1.1.0"
+const version = "1.2.0"
 
 func buildString() string {
 	s := version + " go=" + runtime.Version()
@@ -73,7 +72,6 @@ func main() {
 		entries   = flag.Int("entries", 8192, "BTB entries")
 		ways      = flag.Int("ways", 4, "BTB ways")
 		ftq       = flag.Int("ftq", 192, "FTQ capacity in instructions")
-		predictor = flag.String("predictor", "tage", "direction predictor: tage, perceptron, gshare, bimodal")
 		twoLevel  = flag.Bool("twolevel", false, "use a 1K+8K two-level BTB organization")
 		compare   = flag.Bool("compare", false, "also run the LRU baseline and report speedup")
 
@@ -136,21 +134,7 @@ func main() {
 	cfg.BTBWays = *ways
 	cfg.FTQInstrCap = *ftq
 	cfg.NewPolicy = newPolicy
-	if *twoLevel {
-		cfg.TwoLevelBTB = core.DefaultTwoLevelBTB()
-	}
-	switch *predictor {
-	case "tage":
-		// default
-	case "perceptron":
-		cfg.NewPredictor = func() bpred.Predictor { return bpred.NewPerceptron(14, 48) }
-	case "gshare":
-		cfg.NewPredictor = func() bpred.Predictor { return bpred.NewGshare(16) }
-	case "bimodal":
-		cfg.NewPredictor = func() bpred.Predictor { return bpred.NewBimodal(16) }
-	default:
-		fatalf("unknown predictor %q (choose one of: tage, perceptron, gshare, bimodal)", *predictor)
-	}
+	cfg.TwoLevelBTB = *twoLevel
 	if *hintsPath != "" {
 		hf, err := os.Open(*hintsPath)
 		if err != nil {
@@ -234,7 +218,6 @@ func main() {
 		"entries":   fmt.Sprintf("%d", *entries),
 		"ways":      fmt.Sprintf("%d", *ways),
 		"ftq":       fmt.Sprintf("%d", *ftq),
-		"predictor": *predictor,
 		"twolevel":  fmt.Sprintf("%v", *twoLevel),
 		"hints":     *hintsPath,
 		"warmup":    fmt.Sprintf("%g", cfg.WarmupFrac),

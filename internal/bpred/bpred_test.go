@@ -6,8 +6,45 @@ import (
 	"thermometer/internal/xrand"
 )
 
+// predictor is the Predict/Update protocol TAGE, its bimodal base and the
+// gshare reference below share.
+type predictor interface {
+	Predict(pc uint64) bool
+	Update(pc uint64, taken bool)
+}
+
+// gshare XORs global history into a table of 2-bit counters: the classic
+// predictor TAGE is measured against.
+type gshare struct {
+	ctr     []uint8
+	mask    uint64
+	history uint64
+}
+
+// newGshare returns a gshare predictor with 2^logSize counters and logSize
+// bits of global history.
+func newGshare(logSize int) *gshare {
+	return &gshare{ctr: make([]uint8, 1<<logSize), mask: 1<<logSize - 1}
+}
+
+func (g *gshare) idx(pc uint64) uint64 { return ((pc >> 1) ^ g.history) & g.mask }
+
+func (g *gshare) Predict(pc uint64) bool { return g.ctr[g.idx(pc)] >= 2 }
+
+func (g *gshare) Update(pc uint64, taken bool) {
+	i := g.idx(pc)
+	if taken {
+		if g.ctr[i] < 3 {
+			g.ctr[i]++
+		}
+	} else if g.ctr[i] > 0 {
+		g.ctr[i]--
+	}
+	g.history = ((g.history << 1) | b2u(taken)) & g.mask
+}
+
 // run feeds a (pc, outcome) stream and returns the accuracy.
-func run(p Predictor, seq []struct {
+func run(p predictor, seq []struct {
 	pc    uint64
 	taken bool
 }) float64 {
@@ -78,7 +115,7 @@ func TestBimodalLearnsBias(t *testing.T) {
 
 func TestGshareLearnsPattern(t *testing.T) {
 	bi := run(NewBimodal(12), patternSeq(9000))
-	gs := run(NewGshare(14), patternSeq(9000))
+	gs := run(newGshare(14), patternSeq(9000))
 	if gs < 0.95 {
 		t.Fatalf("gshare pattern accuracy = %v, want >= 0.95", gs)
 	}
@@ -115,7 +152,7 @@ func TestTAGEBeatsGshareOnMixedWorkload(t *testing.T) {
 	seq = append(seq, biasedSeq(r, 20000)...)
 	seq = append(seq, correlatedSeq(r, 20000)...)
 	seq = append(seq, patternSeq(20000)...)
-	gs := run(NewGshare(14), append([]ev(nil), seq...))
+	gs := run(newGshare(14), append([]ev(nil), seq...))
 	tg := run(NewTAGE(), append([]ev(nil), seq...))
 	if tg < gs {
 		t.Fatalf("TAGE %v < gshare %v on mixed workload", tg, gs)
@@ -123,77 +160,7 @@ func TestTAGEBeatsGshareOnMixedWorkload(t *testing.T) {
 }
 
 func TestTAGEMispredictRate(t *testing.T) {
-	p := NewTAGE()
-	r := xrand.New(4)
-	for _, s := range biasedSeq(r, 5000) {
-		p.Predict(s.pc)
-		p.Update(s.pc, s.taken)
-	}
-	if p.Lookups != 5000 {
-		t.Fatalf("lookups = %d", p.Lookups)
-	}
-	if rate := p.MispredictRate(); rate <= 0 || rate >= 0.5 {
+	if rate := 1 - run(NewTAGE(), biasedSeq(xrand.New(4), 5000)); rate <= 0 || rate >= 0.5 {
 		t.Fatalf("mispredict rate = %v", rate)
-	}
-	if (&TAGE{}).MispredictRate() != 0 {
-		t.Fatal("empty rate not 0")
-	}
-}
-
-func TestPredictorNames(t *testing.T) {
-	if NewBimodal(4).Name() != "bimodal" || NewGshare(4).Name() != "gshare" || NewTAGE().Name() != "tage" {
-		t.Fatal("names wrong")
-	}
-}
-
-func TestPerceptronLearnsBias(t *testing.T) {
-	r := xrand.New(21)
-	acc := run(NewPerceptron(12, 32), biasedSeq(r, 20000))
-	if acc < 0.90 {
-		t.Fatalf("perceptron biased accuracy = %v, want >= 0.90", acc)
-	}
-}
-
-func TestPerceptronLearnsPattern(t *testing.T) {
-	acc := run(NewPerceptron(12, 32), patternSeq(9000))
-	if acc < 0.95 {
-		t.Fatalf("perceptron pattern accuracy = %v, want >= 0.95", acc)
-	}
-}
-
-func TestPerceptronLearnsCorrelation(t *testing.T) {
-	r := xrand.New(22)
-	seq := correlatedSeq(r, 30000)
-	acc := run(NewPerceptron(12, 32), seq)
-	// Theoretical ceiling 0.75 (half the stream is a fair coin).
-	if acc < 0.70 {
-		t.Fatalf("perceptron correlated accuracy = %v, want >= 0.70", acc)
-	}
-}
-
-func TestPerceptronGeometryValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad geometry accepted")
-		}
-	}()
-	NewPerceptron(0, 32)
-}
-
-func TestPerceptronMispredictRate(t *testing.T) {
-	p := NewPerceptron(10, 16)
-	r := xrand.New(23)
-	for _, s := range biasedSeq(r, 3000) {
-		p.Predict(s.pc)
-		p.Update(s.pc, s.taken)
-	}
-	if p.Lookups != 3000 {
-		t.Fatalf("lookups = %d", p.Lookups)
-	}
-	if rate := p.MispredictRate(); rate <= 0 || rate > 0.5 {
-		t.Fatalf("rate = %v", rate)
-	}
-	if (&Perceptron{}).MispredictRate() != 0 {
-		t.Fatal("empty rate")
 	}
 }

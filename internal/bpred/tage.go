@@ -30,10 +30,6 @@ type TAGE struct {
 	// useAltOnNewlyAlloc biases toward the alternate prediction when the
 	// provider entry is freshly allocated (standard TAGE refinement).
 	useAlt int8
-
-	// Statistics.
-	Lookups     uint64
-	Mispredicts uint64
 }
 
 type tageComp struct {
@@ -116,9 +112,6 @@ func NewTAGE() *TAGE {
 	return t
 }
 
-// Name implements Predictor.
-func (t *TAGE) Name() string { return "tage" }
-
 func (t *TAGE) index(pc uint64, c *tageComp) uint64 {
 	h := (pc >> 1) ^ (pc >> uint(c.logSize+1)) ^ c.idxFold.value
 	return h & (1<<c.logSize - 1)
@@ -129,9 +122,10 @@ func (t *TAGE) tag(pc uint64, c *tageComp) uint64 {
 	return h & (1<<c.tagBits - 1)
 }
 
-// Predict implements Predictor.
+// Predict returns the predicted direction for the conditional branch at pc.
+// The caller must call Update exactly once after each Predict for the same
+// branch, in program order.
 func (t *TAGE) Predict(pc uint64) bool {
-	t.Lookups++
 	t.provider = -1
 	alt := -1
 	for i := range t.comps {
@@ -163,12 +157,10 @@ func (t *TAGE) Predict(pc uint64) bool {
 	return t.predTaken
 }
 
-// Update implements Predictor.
+// Update trains the predictor with the resolved direction of the branch
+// last passed to Predict.
 func (t *TAGE) Update(pc uint64, taken bool) {
 	correct := t.predTaken == taken
-	if !correct {
-		t.Mispredicts++
-	}
 
 	if t.provider >= 0 {
 		e := &t.comps[t.provider].entries[t.predIdx[t.provider]]
@@ -258,13 +250,3 @@ func (t *TAGE) pushHistory(taken bool) {
 		c.tagFold2.update(bit, oldest)
 	}
 }
-
-// MispredictRate returns mispredictions per lookup.
-func (t *TAGE) MispredictRate() float64 {
-	if t.Lookups == 0 {
-		return 0
-	}
-	return float64(t.Mispredicts) / float64(t.Lookups)
-}
-
-var _ Predictor = (*TAGE)(nil)

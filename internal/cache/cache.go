@@ -3,10 +3,10 @@
 // blocks and LRU replacement.
 //
 // The model is a latency model, not a bandwidth model: each access walks
-// down the hierarchy, fills upward inclusively, and reports the levels it
-// had to reach. MSHR-level concurrency is abstracted by the frontend's
-// FDIP prefetch overlap (prefetched lines are timestamped and their
-// residual latency, rather than the full latency, stalls fetch).
+// down the hierarchy, fills upward inclusively, and reports the level it
+// had to reach and that level's fixed latency. MSHR-level concurrency is
+// left to the timing core, whose FDIP lead hides part of a line's latency
+// from fetch.
 package cache
 
 import "fmt"
@@ -167,17 +167,13 @@ func (c *Cache) MissRatio() float64 {
 	return float64(c.Misses) / float64(c.Accesses)
 }
 
-// Latencies configures the cycles to reach each level.
-type Latencies struct {
-	L2Hit  int
-	LLCHit int
-	Memory int
-}
-
-// DefaultLatencies mirrors a contemporary server part.
-func DefaultLatencies() Latencies {
-	return Latencies{L2Hit: 14, LLCHit: 40, Memory: 200}
-}
+// Cycles to reach each level beyond the L1, as on a contemporary server
+// part.
+const (
+	L2Latency     = 14
+	LLCLatency    = 40
+	MemoryLatency = 200
+)
 
 // Hierarchy wires L1I/L1D/L2/LLC with Table 1 geometry.
 type Hierarchy struct {
@@ -185,7 +181,6 @@ type Hierarchy struct {
 	L1D *Cache
 	L2  *Cache
 	LLC *Cache
-	Lat Latencies
 
 	// Instruction-side per-level miss counters (L2iMPKI in Fig 3 is
 	// InstrL2Misses per kilo-instruction).
@@ -202,7 +197,6 @@ func NewHierarchy() *Hierarchy {
 		L1D: New("L1D", 48<<10, 12, 64),
 		L2:  New("L2", 512<<10, 8, 64),
 		LLC: New("LLC", 2<<20, 16, 64),
-		Lat: DefaultLatencies(),
 	}
 }
 
@@ -216,14 +210,14 @@ func (h *Hierarchy) FetchInstr(addr uint64) (Level, int) {
 	}
 	h.InstrL1Misses++
 	if h.L2.Access(addr) {
-		return L2, h.Lat.L2Hit
+		return L2, L2Latency
 	}
 	h.InstrL2Misses++
 	if h.LLC.Access(addr) {
-		return LLC, h.Lat.LLCHit
+		return LLC, LLCLatency
 	}
 	h.InstrLLCMisses++
-	return Memory, h.Lat.Memory
+	return Memory, MemoryLatency
 }
 
 // LoadData performs a data load and returns (level, latency beyond L1D).
@@ -232,10 +226,10 @@ func (h *Hierarchy) LoadData(addr uint64) (Level, int) {
 		return L1, 0
 	}
 	if h.L2.Access(addr) {
-		return L2, h.Lat.L2Hit
+		return L2, L2Latency
 	}
 	if h.LLC.Access(addr) {
-		return LLC, h.Lat.LLCHit
+		return LLC, LLCLatency
 	}
-	return Memory, h.Lat.Memory
+	return Memory, MemoryLatency
 }

@@ -96,7 +96,7 @@ func TestNoDuplicateBlocksProperty(t *testing.T) {
 func TestHierarchyLatencies(t *testing.T) {
 	h := NewHierarchy()
 	lvl, lat := h.FetchInstr(0x400000)
-	if lvl != Memory || lat != h.Lat.Memory {
+	if lvl != Memory || lat != MemoryLatency {
 		t.Fatalf("cold fetch = %v/%d", lvl, lat)
 	}
 	lvl, lat = h.FetchInstr(0x400000)
@@ -130,7 +130,7 @@ func TestLoadData(t *testing.T) {
 		h.LoadData(0x900000 + i*4096)
 	}
 	lvl, lat := h.LoadData(0x900000)
-	if lvl != L2 || lat != h.Lat.L2Hit {
+	if lvl != L2 || lat != L2Latency {
 		t.Fatalf("L2 hit path = %v/%d", lvl, lat)
 	}
 }

@@ -22,7 +22,7 @@ func TestStallAttributionConsistency(t *testing.T) {
 	// Issue cycles are what remains after stalls; must be positive and at
 	// least instructions/width.
 	issue := r.Cycles - r.RedirectStall - r.ICacheStall - r.DataStall
-	if issue <= 0 || issue < r.Instructions/uint64(DefaultConfig().FetchWidth) {
+	if issue <= 0 || issue < r.Instructions/fetchWidth {
 		t.Fatalf("issue cycles %d implausible (instr %d)", issue, r.Instructions)
 	}
 }
@@ -33,20 +33,6 @@ func TestInstrMissLevelsMonotone(t *testing.T) {
 	if r.InstrL1Misses < r.InstrL2Misses || r.InstrL2Misses < r.InstrLLCMisses {
 		t.Fatalf("instruction miss funnel inverted: L1 %d, L2 %d, LLC %d",
 			r.InstrL1Misses, r.InstrL2Misses, r.InstrLLCMisses)
-	}
-}
-
-func TestDataStallsToggle(t *testing.T) {
-	tr := smallTrace(t, "kafka")
-	on := Run(tr, DefaultConfig())
-	cfg := DefaultConfig()
-	cfg.DataStalls = false
-	off := Run(tr, cfg)
-	if off.DataStall != 0 {
-		t.Fatal("data stalls accumulated while disabled")
-	}
-	if off.Cycles >= on.Cycles {
-		t.Fatalf("disabling data stalls did not help: %d >= %d", off.Cycles, on.Cycles)
 	}
 }
 

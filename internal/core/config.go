@@ -20,17 +20,35 @@ package core
 
 import (
 	"thermometer/internal/attribution"
-	"thermometer/internal/bpred"
 	"thermometer/internal/btb"
-	"thermometer/internal/cache"
 	"thermometer/internal/profile"
 	"thermometer/internal/telemetry"
 )
 
+// Table 1's core parameters that no experiment varies.
+const (
+	// fetchWidth is instructions fetched and retired per cycle (6-wide).
+	fetchWidth = 6
+	// decodePenalty and execPenalty are the bubbles of a frontend resteer
+	// discovered at decode and at execute.
+	decodePenalty = 10
+	execPenalty   = 20
+	// mlp divides load miss latency: the memory-level parallelism the
+	// out-of-order window extracts.
+	mlp = 4
+)
+
+// The two-level BTB organization (Config.TwoLevelBTB): a 1K-entry L1 backed
+// by an 8K-entry L2, comparable in total capacity to the Table 1 BTB, with a
+// 3-cycle BPU bubble on an L1-miss/L2-hit access.
+const (
+	twoLevelL1Entries, twoLevelL1Ways = 1024, 4
+	twoLevelL2Entries, twoLevelL2Ways = 8192, 4
+	twoLevelBubble                    = 3
+)
+
 // Config parameterizes one simulation run.
 type Config struct {
-	// FetchWidth is instructions fetched/retired per cycle (Table 1: 6).
-	FetchWidth int
 	// FTQInstrCap is the FTQ capacity in instructions (Table 1: 24
 	// entries × 8 = 192); it caps FDIP run-ahead.
 	FTQInstrCap int
@@ -44,19 +62,12 @@ type Config struct {
 	IBTBEntries int
 	RASEntries  int
 
-	// DecodeRedirectPenalty and ExecRedirectPenalty are the bubble sizes
-	// for front-end resteers.
-	DecodeRedirectPenalty int
-	ExecRedirectPenalty   int
-
 	// NewPolicy constructs the BTB replacement policy for this run.
 	NewPolicy func() btb.Policy
 	// Hints supplies Thermometer temperature categories (may be nil). The
 	// table is read-only once a run has used it: Run memoizes its
 	// per-access column on the trace (see profile.HintTable.Column).
 	Hints *profile.HintTable
-	// NewPredictor constructs the direction predictor (nil → TAGE).
-	NewPredictor func() bpred.Predictor
 
 	// Limit-study switches (Fig 2).
 	PerfectBTB    bool
@@ -78,22 +89,15 @@ type Config struct {
 	// Shotgun does (§2.2): a 60% partition for unconditional branches,
 	// calls and returns, 40% for conditionals.
 	ShotgunPartition bool
-	// TwoLevelBTB, when non-nil, replaces the monolithic BTB with a
-	// two-level organization (small fast L1 backed by a large L2); see
-	// btb.TwoLevel. Mutually exclusive with ShotgunPartition and BTBSets,
-	// and not supported with a Prefetcher (Run panics).
-	TwoLevelBTB *TwoLevelBTBConfig
+	// TwoLevelBTB replaces the monolithic BTB with the 1K+8K two-level
+	// organization (small fast L1 backed by a large L2); see btb.TwoLevel.
+	// Mutually exclusive with ShotgunPartition and BTBSets, and not
+	// supported with a Prefetcher (Run panics).
+	TwoLevelBTB bool
 
-	// Latencies configures the memory hierarchy.
-	Latencies cache.Latencies
-
-	// DataStalls enables the synthetic backend load stream.
-	DataStalls bool
-	// DataFootprint spans the synthetic load address space (bytes).
+	// DataFootprint spans the synthetic backend load stream's address space
+	// (bytes).
 	DataFootprint uint64
-	// MLP divides load miss latency (memory-level parallelism the OoO
-	// window extracts).
-	MLP int
 
 	// WarmupFrac is the fraction of the trace used to warm caches, BTB,
 	// and predictors before statistics and cycles accumulate (standard
@@ -127,37 +131,17 @@ type Config struct {
 	HintQual *attribution.Recorder
 }
 
-// TwoLevelBTBConfig sizes the optional two-level BTB organization.
-type TwoLevelBTBConfig struct {
-	L1Entries, L1Ways int
-	L2Entries, L2Ways int
-	// BubbleCycles is the BPU stall on an L1-miss/L2-hit access.
-	BubbleCycles int
-}
-
-// DefaultTwoLevelBTB returns a 1K+8K two-level organization comparable in
-// total capacity to the Table 1 BTB.
-func DefaultTwoLevelBTB() *TwoLevelBTBConfig {
-	return &TwoLevelBTBConfig{L1Entries: 1024, L1Ways: 4, L2Entries: 8192, L2Ways: 4, BubbleCycles: 3}
-}
-
 // DefaultConfig returns the Table 1 configuration with an LRU BTB.
 func DefaultConfig() Config {
 	return Config{
-		FetchWidth:            6,
-		FTQInstrCap:           192,
-		BTBEntries:            8192,
-		BTBWays:               4,
-		IBTBEntries:           4096,
-		RASEntries:            32,
-		DecodeRedirectPenalty: 10,
-		ExecRedirectPenalty:   20,
-		PrefetchDelay:         32,
-		Latencies:             cache.DefaultLatencies(),
-		DataStalls:            true,
-		DataFootprint:         64 << 20,
-		MLP:                   4,
-		WarmupFrac:            0.25,
+		FTQInstrCap:   192,
+		BTBEntries:    8192,
+		BTBWays:       4,
+		IBTBEntries:   4096,
+		RASEntries:    32,
+		PrefetchDelay: 32,
+		DataFootprint: 64 << 20,
+		WarmupFrac:    0.25,
 	}
 }
 

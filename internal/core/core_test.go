@@ -264,7 +264,7 @@ func TestSpeedupMath(t *testing.T) {
 func TestTwoLevelBTBInSim(t *testing.T) {
 	tr := smallTrace(t, "tomcat")
 	cfg := DefaultConfig()
-	cfg.TwoLevelBTB = DefaultTwoLevelBTB()
+	cfg.TwoLevelBTB = true
 	r := Run(tr, cfg)
 	if r.BTB.Accesses == 0 || r.BTB.Hits == 0 {
 		t.Fatalf("two-level stats empty: %+v", r.BTB)

@@ -18,16 +18,11 @@ import (
 // records them per trace and key, memoized on the trace, and every run on
 // that trace (whatever its BTB, policy, prefetcher or audits) replays them.
 
-// frontKey is the part of a Config the frontend pass reads. A custom
-// NewPredictor also feeds the pass but cannot be compared, so such runs
-// build an unmemoized stream (see frontendFor).
+// frontKey is the part of a Config the frontend pass reads.
 type frontKey struct {
 	PerfectBP     bool
 	PerfectICache bool
-	DataStalls    bool
 	DataFootprint uint64
-	MLP           int
-	Latencies     cache.Latencies
 	IBTBEntries   int
 	RASEntries    int
 }
@@ -36,10 +31,7 @@ func keyOf(cfg *Config) frontKey {
 	return frontKey{
 		PerfectBP:     cfg.PerfectBP,
 		PerfectICache: cfg.PerfectICache,
-		DataStalls:    cfg.DataStalls,
 		DataFootprint: cfg.DataFootprint,
-		MLP:           cfg.MLP,
-		Latencies:     cfg.Latencies,
 		IBTBEntries:   cfg.IBTBEntries,
 		RASEntries:    cfg.RASEntries,
 	}
@@ -79,34 +71,23 @@ type frontStream struct {
 	spill []uint64
 }
 
-// ownPredictor reports whether cfg's frontend pass runs a predictor of its
-// own, whose stream (and tallies) cannot be memoized.
-func ownPredictor(cfg *Config) bool { return !cfg.PerfectBP && cfg.NewPredictor != nil }
-
-// frontendFor returns the trace's frontend stream for cfg: memoized on the
-// trace unless cfg supplies its own predictor.
-func frontendFor(tr *trace.Trace, cfg *Config) *frontStream {
-	k := keyOf(cfg)
-	if ownPredictor(cfg) {
-		return runFrontend(tr.Records, k, cfg.NewPredictor())
-	}
-	return tr.Memo(k, func() any {
-		var pred bpred.Predictor
-		if !k.PerfectBP {
-			pred = bpred.NewTAGE()
-		}
-		return runFrontend(tr.Records, k, pred)
-	}).(*frontStream)
+// frontendFor returns the trace's frontend stream for k, memoized on the
+// trace.
+func frontendFor(tr *trace.Trace, k frontKey) *frontStream {
+	return tr.Memo(k, func() any { return runFrontend(tr.Records, k) }).(*frontStream)
 }
 
-// runFrontend runs the predictor (nil under PerfectBP), the RAS and IBTB,
-// the instruction walk and the load stream over every record, in the order
-// the timing loop consumes them, and records each record's outcomes.
-func runFrontend(recs []trace.Record, k frontKey, pred bpred.Predictor) *frontStream {
+// runFrontend runs TAGE (none under PerfectBP), the RAS and IBTB, the
+// instruction walk and the load stream over every record, in the order the
+// timing loop consumes them, and records each record's outcomes.
+func runFrontend(recs []trace.Record, k frontKey) *frontStream {
 	fs := &frontStream{recs: make([]frontRec, len(recs))}
+	var pred *bpred.TAGE
+	if !k.PerfectBP {
+		pred = bpred.NewTAGE()
+	}
 	ras, ibtb := btb.NewRAS(k.RASEntries), btb.NewIBTB(k.IBTBEntries)
 	hier := cache.NewHierarchy()
-	hier.Lat = k.Latencies
 	rng := xrand.New(0xDA7A ^ uint64(len(recs)))
 	for i := range recs {
 		r, f := &recs[i], &fs.recs[i]
@@ -124,13 +105,11 @@ func runFrontend(recs []trace.Record, k frontKey, pred bpred.Predictor) *frontSt
 		if !k.PerfectICache {
 			f.flags |= uint8(instrWalk(hier, r, n, &f.lines)) << frontLevelShift
 		}
-		if k.DataStalls {
-			if d := dataLoads(hier, rng, n, k); d < frontSpill {
-				f.dataStall = uint16(d)
-			} else {
-				f.dataStall = frontSpill
-				fs.spill = append(fs.spill, d)
-			}
+		if d := dataLoads(hier, rng, n, k.DataFootprint); d < frontSpill {
+			f.dataStall = uint16(d)
+		} else {
+			f.dataStall = frontSpill
+			fs.spill = append(fs.spill, d)
 		}
 	}
 	return fs
@@ -194,9 +173,10 @@ func instrWalk(h *cache.Hierarchy, r *trace.Record, n uint64, lines *uint16) cac
 	return worstLvl
 }
 
-// dataLoads runs the synthetic loads of an n-instruction block through the
-// hierarchy and returns their stall cycles.
-func dataLoads(h *cache.Hierarchy, rng *xrand.RNG, n uint64, k frontKey) uint64 {
+// dataLoads runs the synthetic loads of an n-instruction block, the rarest
+// of them spread over footprint bytes, through the hierarchy and returns
+// their stall cycles.
+func dataLoads(h *cache.Hierarchy, rng *xrand.RNG, n, footprint uint64) uint64 {
 	var dataStall uint64
 	loads := int(n) / 6
 	for j := 0; j < loads; j++ {
@@ -208,12 +188,10 @@ func dataLoads(h *cache.Hierarchy, rng *xrand.RNG, n uint64, k frontKey) uint64 
 		case roll < 0.99: // mid-size structures
 			addr = (1 << 20) + rng.Uint64n(128<<10)
 		default: // big-data footprint
-			addr = (8 << 20) + rng.Uint64n(k.DataFootprint)
+			addr = (8 << 20) + rng.Uint64n(footprint)
 		}
 		_, lat := h.LoadData(addr)
-		if lat > 0 && k.MLP > 0 {
-			dataStall += uint64(lat / k.MLP)
-		}
+		dataStall += uint64(lat / mlp)
 	}
 	return dataStall
 }
@@ -231,13 +209,10 @@ type tallyKey struct {
 	from  int
 }
 
-// tallyFor returns fs's tally of records [from, len): memoized on the
-// trace with its stream, or summed afresh when cfg's stream is not.
-func tallyFor(tr *trace.Trace, cfg *Config, fs *frontStream, from int) frontTally {
-	if ownPredictor(cfg) {
-		return fs.tally(from)
-	}
-	return tr.Memo(tallyKey{keyOf(cfg), from}, func() any { return fs.tally(from) }).(frontTally)
+// tallyFor returns the tally of records [from, len) of fs, k's stream,
+// memoized on the trace with the stream.
+func tallyFor(tr *trace.Trace, k frontKey, fs *frontStream, from int) frontTally {
+	return tr.Memo(tallyKey{k, from}, func() any { return fs.tally(from) }).(frontTally)
 }
 
 // tally sums the outcome counts of records [from, len).

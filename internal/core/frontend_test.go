@@ -8,22 +8,16 @@ import (
 )
 
 // TestConfigFieldsClassified sorts every Config field into the frontend
-// pass's memo key, the one unkeyed frontend input, or the policy side. A new
-// field fails here until someone decides which it is: a frontend input left
-// out of frontKey would let runs with different values share one memoized
-// stream.
+// pass's memo key or the policy side. A new field fails here until someone
+// decides which it is: a frontend input left out of frontKey would let runs
+// with different values share one memoized stream.
 func TestConfigFieldsClassified(t *testing.T) {
 	frontendKey := []string{
-		"PerfectBP", "PerfectICache", "DataStalls", "DataFootprint", "MLP",
-		"Latencies", "IBTBEntries", "RASEntries",
+		"PerfectBP", "PerfectICache", "DataFootprint", "IBTBEntries", "RASEntries",
 	}
-	// NewPredictor feeds the pass but is a func, so it cannot be a key: a
-	// run that sets it builds its own stream.
-	frontendUnkeyed := []string{"NewPredictor"}
 	policySide := []string{
-		"FetchWidth", "FTQInstrCap",
+		"FTQInstrCap",
 		"BTBEntries", "BTBWays", "BTBSets",
-		"DecodeRedirectPenalty", "ExecRedirectPenalty",
 		"NewPolicy", "Hints", "PerfectBTB",
 		"Prefetcher", "PrefetchDelay", "ShotgunPartition", "TwoLevelBTB",
 		"WarmupFrac", "Observer", "Attribution", "HintQual",
@@ -33,7 +27,7 @@ func TestConfigFieldsClassified(t *testing.T) {
 	for _, group := range []struct {
 		name   string
 		fields []string
-	}{{"frontend key", frontendKey}, {"unkeyed frontend", frontendUnkeyed}, {"policy side", policySide}} {
+	}{{"frontend key", frontendKey}, {"policy side", policySide}} {
 		for _, f := range group.fields {
 			if prev, dup := class[f]; dup {
 				t.Errorf("%s is listed as both %s and %s", f, prev, group.name)
@@ -72,5 +66,34 @@ func TestRunEmptyTrace(t *testing.T) {
 	r := Run(&trace.Trace{Name: "empty"}, DefaultConfig())
 	if r.Instructions != 0 || r.Cycles != 0 || r.DirLookups != 0 || r.InstrL1Misses != 0 || r.L2iMPKI != 0 {
 		t.Fatalf("empty trace produced %+v", r)
+	}
+}
+
+// TestDataStallSpill runs blocks as long as a record allows. The cold first
+// block stalls for more data cycles than a frontRec holds, so its stall
+// spills to the stream's side list, and Run must read it back at that block
+// whether it falls in the measured region or in warm-up.
+func TestDataStallSpill(t *testing.T) {
+	recs := make([]trace.Record, 8)
+	for i := range recs {
+		recs[i] = trace.Record{PC: 0x1000, Target: 0x2000, Type: trace.UncondDirect, Taken: true, BlockLen: 65535}
+	}
+	tr := &trace.Trace{Name: "spill", Records: recs}
+	cfg := DefaultConfig()
+	fs := frontendFor(tr, keyOf(&cfg))
+	if fs.recs[0].dataStall != frontSpill || len(fs.spill) != 1 || fs.spill[0] != 70960 {
+		t.Fatalf("first block's stall %d, spill list %v: want it spilled as [70960]", fs.recs[0].dataStall, fs.spill)
+	}
+	for _, c := range []struct {
+		warmup float64
+		want   uint64
+	}{
+		{0, 181432},   // the spilled stall, then the other seven blocks'
+		{0.25, 75062}, // only the last six blocks' stalls
+	} {
+		cfg.WarmupFrac = c.warmup
+		if got := Run(tr, cfg).DataStall; got != c.want {
+			t.Errorf("WarmupFrac %v: DataStall = %d, want %d", c.warmup, got, c.want)
+		}
 	}
 }

@@ -28,9 +28,7 @@ import (
 	"testing"
 
 	"thermometer/internal/attribution"
-	"thermometer/internal/bpred"
 	"thermometer/internal/btb"
-	"thermometer/internal/cache"
 	"thermometer/internal/core"
 	"thermometer/internal/policy"
 	"thermometer/internal/prefetch"
@@ -173,7 +171,7 @@ func TestGoldenCore(t *testing.T) {
 		{"twolevel", func() core.Config {
 			cfg := core.DefaultConfig()
 			cfg.Hints = hints
-			cfg.TwoLevelBTB = core.DefaultTwoLevelBTB()
+			cfg.TwoLevelBTB = true
 			return cfg
 		}, false, false, false},
 		{"shotgun", func() core.Config {
@@ -259,14 +257,6 @@ func TestGoldenCore(t *testing.T) {
 	variants = append(variants,
 		frontend("perfectbp", func(c *core.Config) { c.PerfectBP = true }),
 		frontend("perfecticache", func(c *core.Config) { c.PerfectICache = true }),
-		frontend("nodata", func(c *core.Config) { c.DataStalls = false }),
-		frontend("gshare", func(c *core.Config) {
-			c.NewPredictor = func() bpred.Predictor { return bpred.NewGshare(14) }
-		}),
-		frontend("latencies", func(c *core.Config) {
-			c.Latencies = cache.Latencies{L2Hit: 18, LLCHit: 50, Memory: 300}
-		}),
-		frontend("mlp", func(c *core.Config) { c.MLP = 2 }),
 		frontend("footprint", func(c *core.Config) { c.DataFootprint = 8 << 20 }),
 		frontend("ibtb", func(c *core.Config) { c.IBTBEntries = 512 }),
 		frontend("ras", func(c *core.Config) { c.RASEntries = 8 }),

@@ -130,7 +130,7 @@ func TestTraceMetaMatchesReference(t *testing.T) {
 func TestPrefetcherRejectsTwoLevelBTB(t *testing.T) {
 	tr := appTrace(t, "kafka", 0)
 	cfg := core.DefaultConfig()
-	cfg.TwoLevelBTB = core.DefaultTwoLevelBTB()
+	cfg.TwoLevelBTB = true
 	cfg.Prefetcher = prefetch.NewConfluence(core.MetaFor(tr))
 	const want = "core: a Prefetcher requires a one-level BTB (no TwoLevelBTB)"
 	defer func() {

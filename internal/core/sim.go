@@ -145,8 +145,8 @@ func (r *fillRing) pop() pendingFill {
 // sim holds the policy-side state of one timing simulation: the BTB, the
 // prefetcher hooks, the probe consumers and the FDIP lead/clock arithmetic.
 // The BTB-independent outcomes come precomputed in fe (see frontend.go).
-// Loop-invariant configuration (hint table, prefetcher, penalties,
-// perfect-structure flags) is hoisted into fields once at setup.
+// Loop-invariant configuration (hint table, prefetcher, perfect-structure
+// flags) is hoisted into fields once at setup.
 type sim struct {
 	res *Result
 
@@ -174,7 +174,6 @@ type sim struct {
 	demandReq btb.Request
 	fillReq   btb.Request
 
-	width                    uint64
 	minLeadCapH, maxLeadCapH uint64
 	ftqInstrCap              uint64
 	leadH                    uint64
@@ -182,22 +181,21 @@ type sim struct {
 
 	perfectBTB    bool
 	perfectICache bool
-	execPenalty   int
-	decodePenalty int
 	prefetchDelay int
-	// lineLat is each cache.Level's instruction-fetch latency.
-	lineLat [4]uint64
 }
+
+// lineLat is each cache.Level's instruction-fetch latency.
+var lineLat = [4]uint64{cache.L2: cache.L2Latency, cache.LLC: cache.LLCLatency, cache.Memory: cache.MemoryLatency}
 
 // Run simulates the trace under the configuration and returns the result.
 func Run(tr *trace.Trace, cfg Config) *Result {
-	if cfg.FetchWidth <= 0 || cfg.FTQInstrCap <= 0 {
+	if cfg.FTQInstrCap <= 0 {
 		panic("core: invalid config")
 	}
 	accesses := tr.AccessStream()
 	var meta *TraceMeta
 	if cfg.Prefetcher != nil {
-		if cfg.TwoLevelBTB != nil {
+		if cfg.TwoLevelBTB {
 			// Fills go to one BTB through its policy; a two-level
 			// organization has no prefetch-fill path to either level.
 			panic("core: a Prefetcher requires a one-level BTB (no TwoLevelBTB)")
@@ -230,25 +228,25 @@ func Run(tr *trace.Trace, cfg Config) *Result {
 		bank.main = btb.New(cfg.BTBEntries, cfg.BTBWays, res.Policy)
 	}
 	var twoLevel *btb.TwoLevel
-	if tl := cfg.TwoLevelBTB; tl != nil {
-		twoLevel = btb.NewTwoLevel(tl.L1Entries, tl.L1Ways, res.Policy,
-			tl.L2Entries, tl.L2Ways, newPolicy(), tl.BubbleCycles)
+	if cfg.TwoLevelBTB {
+		twoLevel = btb.NewTwoLevel(twoLevelL1Entries, twoLevelL1Ways, res.Policy,
+			twoLevelL2Entries, twoLevelL2Ways, newPolicy(), twoLevelBubble)
 	}
 
+	fk := keyOf(&cfg)
 	s := &sim{
 		res:      res,
 		accesses: accesses,
 		meta:     meta,
 		hints:    cfg.Hints,
 		temps:    hintColumn(tr, cfg.Hints),
-		fe:       frontendFor(tr, &cfg),
+		fe:       frontendFor(tr, fk),
 
 		bank:     bank,
 		twoLevel: twoLevel,
 
 		prefetcher: cfg.Prefetcher,
 
-		width: uint64(cfg.FetchWidth),
 		// FDIP lead: cycles by which FDIP's prefetch of the next block
 		// precedes fetch's demand for it. Squashes reset it. Tracked in
 		// half-cycles: the BPU produces up to two block predictions per
@@ -260,20 +258,13 @@ func Run(tr *trace.Trace, cfg Config) *Result {
 		// instructions, which cover FTQInstrCap×CPI cycles of fetch time —
 		// the slower the machine runs, the further (in cycles) a fixed FTQ
 		// lets FDIP reach ahead. The cap therefore tracks running CPI.
-		minLeadCapH: 2 * uint64(cfg.FTQInstrCap/cfg.FetchWidth),
+		minLeadCapH: 2 * uint64(cfg.FTQInstrCap/fetchWidth),
 		maxLeadCapH: 8 * uint64(cfg.FTQInstrCap),
 		ftqInstrCap: uint64(cfg.FTQInstrCap),
 
 		perfectBTB:    cfg.PerfectBTB,
 		perfectICache: cfg.PerfectICache,
-		execPenalty:   cfg.ExecRedirectPenalty,
-		decodePenalty: cfg.DecodeRedirectPenalty,
 		prefetchDelay: cfg.PrefetchDelay,
-		lineLat: [4]uint64{
-			cache.L2:     uint64(cfg.Latencies.L2Hit),
-			cache.LLC:    uint64(cfg.Latencies.LLCHit),
-			cache.Memory: uint64(cfg.Latencies.Memory),
-		},
 	}
 	if s.prefetcher != nil {
 		// Bind the insert callback once: fills are delayed by PrefetchDelay
@@ -306,7 +297,7 @@ func Run(tr *trace.Trace, cfg Config) *Result {
 	} else {
 		s.runRecords(recs, fe)
 	}
-	tallyFor(tr, &cfg, s.fe, measuredFrom).addTo(res)
+	tallyFor(tr, fk, s.fe, measuredFrom).addTo(res)
 
 	res.BTB = bank.stats()
 	if twoLevel != nil {
@@ -401,7 +392,7 @@ func (s *sim) drainFills() {
 func (s *sim) redirectPenalty(r *trace.Record, dirMiss, btbMiss, targetMiss bool) int {
 	penalty := 0
 	if dirMiss {
-		penalty = s.execPenalty
+		penalty = execPenalty
 	}
 	if btbMiss {
 		s.res.BTBMissRedirects++
@@ -410,16 +401,16 @@ func (s *sim) redirectPenalty(r *trace.Record, dirMiss, btbMiss, targetMiss bool
 		// the frontend down the (plausible) fall-through path, so the
 		// miss is only discovered when the branch executes; indirect
 		// targets likewise resolve at execute.
-		p := s.execPenalty
+		p := execPenalty
 		if r.Type == trace.UncondDirect || r.Type == trace.Call || r.Type == trace.Return {
-			p = s.decodePenalty
+			p = decodePenalty
 		}
 		if p > penalty {
 			penalty = p
 		}
 	}
-	if targetMiss && s.execPenalty > penalty {
-		penalty = s.execPenalty
+	if targetMiss && execPenalty > penalty {
+		penalty = execPenalty
 	}
 	return penalty
 }
@@ -440,10 +431,10 @@ func (s *sim) applyPenalty(penalty int) {
 func (s *sim) icacheStall(f *frontRec) uint64 {
 	lvl := f.level()
 	lead := s.leadH / 2
-	if s.lineLat[lvl] <= lead {
+	if lineLat[lvl] <= lead {
 		return 0
 	}
-	stall := s.lineLat[lvl] - lead
+	stall := lineLat[lvl] - lead
 	s.res.ICacheStall += stall
 	s.res.ICacheStallByLevel[lvl] += stall
 	return stall
@@ -471,7 +462,7 @@ func (s *sim) dataStall(f *frontRec) uint64 {
 
 // advanceClock issues the block and rolls the FDIP lead forward.
 func (s *sim) advanceClock(n uint64, penalty int, stall, dataStall, btbBubble uint64) {
-	issue := (n + s.width - 1) / s.width
+	issue := (n + fetchWidth - 1) / fetchWidth
 	s.res.Cycles += issue + uint64(penalty) + stall + dataStall + btbBubble
 	s.res.RedirectStall += btbBubble
 
@@ -489,19 +480,14 @@ func (s *sim) advanceClock(n uint64, penalty int, stall, dataStall, btbBubble ui
 	}
 }
 
-// leadCapH bounds the FDIP lead by the FTQ's reach at the running CPI.
+// leadCapH bounds the FDIP lead by the FTQ's reach at the running CPI, up
+// to maxLeadCapH. Neither a zero nor a minLeadCapH check is needed:
+// advanceClock runs only after runRecords has counted the block's n >= 1
+// instructions, and issuing ceil(n/fetchWidth) cycles per block keeps
+// Cycles >= Instructions/fetchWidth, so the cap is at least
+// floor(FTQInstrCap/3) >= 2*floor(FTQInstrCap/fetchWidth) = minLeadCapH.
 func (s *sim) leadCapH() uint64 {
-	if s.res.Instructions == 0 {
-		return s.minLeadCapH
-	}
-	c := 2 * s.ftqInstrCap * s.res.Cycles / s.res.Instructions
-	if c < s.minLeadCapH {
-		return s.minLeadCapH
-	}
-	if c > s.maxLeadCapH {
-		return s.maxLeadCapH
-	}
-	return c
+	return min(2*s.ftqInstrCap*s.res.Cycles/s.res.Instructions, s.maxLeadCapH)
 }
 
 // runRecords simulates recs, one basic block each. The prefetcher hooks

@@ -28,7 +28,7 @@ func TwoLevel(c *Context) []*Table {
 		ht := c.Hints(app, 0, cfg.BTBEntries, cfg.BTBWays, profile.DefaultConfig())
 
 		monoLRU := runPolicy(tr, nil, nil, nil)
-		twoLvl := func(cc *core.Config) { cc.TwoLevelBTB = core.DefaultTwoLevelBTB() }
+		twoLvl := func(cc *core.Config) { cc.TwoLevelBTB = true }
 		tlLRU := runPolicy(tr, func() btb.Policy { return policy.NewLRU() }, nil, twoLvl)
 		return []float64{
 			core.Speedup(monoLRU, runPolicy(tr, thermNew, ht, nil)),

@@ -162,13 +162,6 @@ type SimResult = core.Result
 // replacement.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
-// TwoLevelBTBConfig sizes the optional two-level BTB organization
-// (Config.TwoLevelBTB).
-type TwoLevelBTBConfig = core.TwoLevelBTBConfig
-
-// DefaultTwoLevelBTB returns a 1K+8K two-level BTB configuration.
-func DefaultTwoLevelBTB() *TwoLevelBTBConfig { return core.DefaultTwoLevelBTB() }
-
 // Simulate runs the FDIP timing model over a trace.
 func Simulate(t *Trace, cfg Config) *SimResult { return core.Run(t, cfg) }
 
