@@ -13,21 +13,18 @@
 //	btbsim -trace kafka0.trc -epoch 100000 -metrics out.json   # epoch series
 //	btbsim -trace kafka0.trc -events out.trace.json            # Chrome trace
 //	btbsim -trace kafka0.trc -epochcsv epochs.csv              # CSV series
-//	btbsim -trace kafka0.trc -http :6060                       # live expvar/pprof
 //
 // Miss attribution and replacement-regret audit (package attribution):
 //
 //	btbsim -trace kafka0.trc -attrib                           # text report
 //	btbsim -trace kafka0.trc -attrib -regret-top 40            # more branches
 //	btbsim -trace kafka0.trc -heatmap heat.csv                 # per-set series
-//	btbsim -trace kafka0.trc -attrib -http :6060               # live /debug/attrib
 //
 // Hint-quality audit (package attribution): score the attached hint table
-// live against a Belady shadow — coverage, per-bucket confusion, temperature
+// against a Belady shadow — coverage, per-bucket confusion, temperature
 // drift. With -attrib as well, one recorder runs both audits:
 //
 //	btbsim -trace kafka1.trc -policy thermometer -hints kafka.hints -hintqual
-//	btbsim -trace kafka1.trc -policy thermometer -hints kafka.hints -hintqual -http :6060
 package main
 
 import (
@@ -87,7 +84,6 @@ func main() {
 		epochCSVPath = flag.String("epochcsv", "", "write the epoch time series as CSV")
 		epoch        = flag.Uint64("epoch", 100000, "epoch length in instructions for the telemetry time series")
 		eventCap     = flag.Int("eventcap", 1<<20, "event tracer ring-buffer capacity (retains the last N events)")
-		httpAddr     = flag.String("http", "", "serve live telemetry, expvar, and pprof on this address (e.g. :6060)")
 		showVersion  = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
@@ -109,6 +105,9 @@ func main() {
 	}
 	if *epoch == 0 {
 		fatalf("-epoch must be positive")
+	}
+	if *eventCap < 1 {
+		fatalf("-eventcap must be positive")
 	}
 
 	f, err := os.Open(*tracePath)
@@ -181,31 +180,13 @@ func main() {
 
 	// Attach the observer when any telemetry sink is requested.
 	var obs *telemetry.Observer
-	if *metricsPath != "" || *eventsPath != "" || *epochCSVPath != "" || *httpAddr != "" || *heatmapPath != "" || *hintQual {
+	if *metricsPath != "" || *eventsPath != "" || *epochCSVPath != "" || *heatmapPath != "" || *hintQual {
 		opts := telemetry.Options{EpochInterval: *epoch}
-		if *eventsPath != "" || *httpAddr != "" {
+		if *eventsPath != "" {
 			opts.EventCap = *eventCap
 		}
 		obs = telemetry.New(opts)
 		cfg.Observer = obs
-	}
-	if obs != nil && *httpAddr != "" {
-		var mounts []telemetry.Mount
-		routes := "/metrics, /debug/vars, /debug/pprof"
-		if att != nil {
-			mounts = append(mounts, telemetry.Mount{Pattern: "/debug/attrib", Handler: att.Handler()})
-			routes += ", /debug/attrib"
-		}
-		if hq != nil {
-			mounts = append(mounts, telemetry.Mount{Pattern: "/debug/hintqual", Handler: hq.Handler()})
-			routes += ", /debug/hintqual"
-		}
-		bound, shutdown, err := obs.Serve(*httpAddr, mounts...)
-		if err != nil {
-			fatalf("telemetry http: %v", err)
-		}
-		defer shutdown()
-		fmt.Printf("telemetry: serving %s on %s\n", routes, bound)
 	}
 
 	// Run manifest: everything needed to reproduce this run from the log.

@@ -191,3 +191,16 @@ func TestUnknownPolicy(t *testing.T) {
 		t.Errorf("exit %d, stderr %q; want 1 and a btbsim: message", code, stderr)
 	}
 }
+
+// An event ring below one entry would leave -events unwritten; btbsim must
+// refuse it, as it refuses -epoch 0.
+func TestBadEventCap(t *testing.T) {
+	dir, tracePath, _ := inputs(t)
+	events := filepath.Join(dir, "ev.json")
+	for _, capArg := range []string{"0", "-5"} {
+		_, stderr, code := btbsim(t, "-trace", tracePath, "-events", events, "-eventcap", capArg)
+		if code != 1 || !strings.HasPrefix(stderr, "btbsim: ") {
+			t.Errorf("-eventcap %s: exit %d, stderr %q; want 1 and a btbsim: message", capArg, code, stderr)
+		}
+	}
+}

@@ -10,9 +10,6 @@
 //	paperfigs -exp all -scale 4       # everything at quarter-length traces
 //	paperfigs -exp regret -scale 8    # decision audit vs OPT, short traces
 //	paperfigs -exp all -parallel 1    # serial reference run (same output)
-//	paperfigs -exp all -timeout 10m   # bound the whole sweep
-//	paperfigs -exp all -http :6060    # live expvar/pprof during the sweep
-//	paperfigs -exp all -metrics sweep.json
 //	paperfigs -exp hintqual -markdown # markdown tables (CI step summaries)
 //	paperfigs -list
 //
@@ -22,8 +19,6 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -32,7 +27,6 @@ import (
 	"time"
 
 	"thermometer/internal/experiments"
-	"thermometer/internal/telemetry"
 )
 
 func main() {
@@ -42,10 +36,7 @@ func main() {
 		cbp5     = flag.Int("cbp5", 0, "limit the number of CBP-5 traces (0 = all 663)")
 		ipc1     = flag.Int("ipc1", 0, "limit the number of IPC-1 traces (0 = all 50)")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool width for per-app/per-trace loops (1 = serial)")
-		timeout  = flag.Duration("timeout", 0, "abort the sweep after this long (0 = no limit)")
 		list     = flag.Bool("list", false, "list experiments and exit")
-		metrics  = flag.String("metrics", "", "write sweep telemetry (per-experiment wall time, cache traffic) as JSON")
-		httpA    = flag.String("http", "", "serve live telemetry, expvar, and pprof on this address during the sweep")
 		markdown = flag.Bool("markdown", false, "render tables as GitHub-flavored markdown (for $GITHUB_STEP_SUMMARY)")
 	)
 	flag.Parse()
@@ -65,28 +56,6 @@ func main() {
 	ctx.CBP5Traces = *cbp5
 	ctx.IPC1Traces = *ipc1
 	ctx.Workers = *parallel
-	if *timeout > 0 {
-		runCtx, cancel := context.WithTimeout(context.Background(), *timeout)
-		defer cancel()
-		ctx.Ctx = runCtx
-	}
-
-	// Sweep telemetry: per-experiment wall time and trace/hint cache
-	// traffic land in the registry; -http makes it observable mid-sweep.
-	var obs *telemetry.Observer
-	if *metrics != "" || *httpA != "" {
-		obs = telemetry.New(telemetry.Options{})
-		ctx.Telemetry = obs.Metrics
-	}
-	if obs != nil && *httpA != "" {
-		bound, shutdown, err := obs.Serve(*httpA)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "paperfigs: telemetry http: %v\n", err)
-			os.Exit(1)
-		}
-		defer shutdown()
-		fmt.Printf("telemetry: serving /metrics, /debug/vars, /debug/pprof on %s\n", bound)
-	}
 
 	var ids []string
 	if *exp == "all" {
@@ -104,13 +73,7 @@ func main() {
 
 	for _, id := range ids {
 		start := time.Now()
-		tables, err := runExperiment(ctx, id)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "paperfigs: %s aborted after %v: sweep timeout (-timeout %v) exceeded\n",
-				id, time.Since(start).Round(time.Millisecond), *timeout)
-			os.Exit(1)
-		}
-		for _, t := range tables {
+		for _, t := range ctx.Run(id) {
 			if *markdown {
 				t.RenderMarkdown(os.Stdout)
 			} else {
@@ -125,43 +88,4 @@ func main() {
 			fmt.Printf("[%s took %v]\n\n", id, time.Since(start).Round(time.Millisecond))
 		}
 	}
-
-	if obs != nil && *metrics != "" {
-		f, err := os.Create(*metrics)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "paperfigs: create metrics: %v\n", err)
-			os.Exit(1)
-		}
-		manifest := map[string]string{
-			"exp":   *exp,
-			"scale": fmt.Sprintf("%d", *scale),
-			"cbp5":  fmt.Sprintf("%d", *cbp5),
-			"ipc1":  fmt.Sprintf("%d", *ipc1),
-		}
-		if err := obs.WriteJSON(f, manifest); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "paperfigs: write metrics: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "paperfigs: close metrics: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("telemetry: wrote sweep metrics to %s\n", *metrics)
-	}
-}
-
-// runExperiment converts the context-cancellation panic a timed-out sweep
-// raises inside the experiment loops into an error; other panics propagate.
-func runExperiment(ctx *experiments.Context, id string) (tables []*experiments.Table, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if e, ok := r.(error); ok && (errors.Is(e, context.DeadlineExceeded) || errors.Is(e, context.Canceled)) {
-				err = e
-				return
-			}
-			panic(r)
-		}
-	}()
-	return ctx.Run(id), nil
 }

@@ -11,8 +11,7 @@
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load error.
 //
-// Analyzers: ctxflow, detrange, goexit, lockdiscipline, noambient,
-// observernil, orderedfloat.
+// Analyzers: ctxflow, detrange, lockdiscipline, noambient, orderedfloat.
 // Suppress a finding with `//lint:allow <analyzer> <reason>` on the flagged
 // line or the line above; the analyzer name and the reason are mandatory,
 // and the suppression silences only that analyzer.
@@ -30,20 +29,16 @@ import (
 	"thermometer/internal/analysis"
 	"thermometer/internal/analysis/ctxflow"
 	"thermometer/internal/analysis/detrange"
-	"thermometer/internal/analysis/goexit"
 	"thermometer/internal/analysis/lockdiscipline"
 	"thermometer/internal/analysis/noambient"
-	"thermometer/internal/analysis/observernil"
 	"thermometer/internal/analysis/orderedfloat"
 )
 
 var suite = []*analysis.Analyzer{
 	ctxflow.Analyzer,
 	detrange.Analyzer,
-	goexit.Analyzer,
 	lockdiscipline.Analyzer,
 	noambient.Analyzer,
-	observernil.Analyzer,
 	orderedfloat.Analyzer,
 }
 

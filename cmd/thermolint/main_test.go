@@ -39,7 +39,7 @@ func TestReportJSONSorted(t *testing.T) {
 	root := filepath.FromSlash("/work/mod")
 	abs := func(rel string) string { return filepath.Join(root, filepath.FromSlash(rel)) }
 	diags := []analysis.Diagnostic{
-		{File: abs("internal/b/b.go"), Line: 3, Column: 1, Analyzer: "goexit", Message: "leak"},
+		{File: abs("internal/b/b.go"), Line: 3, Column: 1, Analyzer: "noambient", Message: "getenv"},
 		{File: abs("internal/a/a.go"), Line: 9, Column: 2, Analyzer: "ctxflow", Message: "ambient"},
 		{File: abs("internal/a/a.go"), Line: 4, Column: 7, Analyzer: "orderedfloat", Message: "racy sum"},
 		{File: abs("internal/a/a.go"), Line: 4, Column: 7, Analyzer: "lockdiscipline", Message: "unguarded"},
@@ -58,7 +58,7 @@ func TestReportJSONSorted(t *testing.T) {
 		{File: filepath.FromSlash("internal/a/a.go"), Line: 4, Column: 7, Analyzer: "lockdiscipline", Message: "unguarded"},
 		{File: filepath.FromSlash("internal/a/a.go"), Line: 4, Column: 7, Analyzer: "orderedfloat", Message: "racy sum"},
 		{File: filepath.FromSlash("internal/a/a.go"), Line: 9, Column: 2, Analyzer: "ctxflow", Message: "ambient"},
-		{File: filepath.FromSlash("internal/b/b.go"), Line: 3, Column: 1, Analyzer: "goexit", Message: "leak"},
+		{File: filepath.FromSlash("internal/b/b.go"), Line: 3, Column: 1, Analyzer: "noambient", Message: "getenv"},
 	}
 	if len(got.Findings) != len(want) {
 		t.Fatalf("got %d findings, want %d:\n%s", len(got.Findings), len(want), out)
@@ -80,12 +80,11 @@ func TestReportJSONEmpty(t *testing.T) {
 	}
 }
 
-// TestSuiteComplete pins the analyzer roster: all seven checks must be
+// TestSuiteComplete pins the analyzer roster: all five checks must be
 // wired into the driver, each exactly once.
 func TestSuiteComplete(t *testing.T) {
 	want := []string{
-		"ctxflow", "detrange", "goexit", "lockdiscipline", "noambient",
-		"observernil", "orderedfloat",
+		"ctxflow", "detrange", "lockdiscipline", "noambient", "orderedfloat",
 	}
 	seen := make(map[string]bool, len(suite))
 	for _, a := range suite {
@@ -123,20 +122,19 @@ func TestEndToEndTempModule(t *testing.T) {
 	write("go.mod", "module thermometer\n\ngo 1.22\n")
 	write("internal/runner/r.go", `package runner
 
-import "os"
+import (
+	"context"
+	"os"
+)
 
 // Workers trips noambient: the pool width comes from the environment.
 func Workers() string {
 	return os.Getenv("WORKERS")
 }
 
-// Spin trips goexit: the goroutine has no termination path.
-func Spin(ch chan int) {
-	go func() {
-		for {
-			ch <- 1
-		}
-	}()
+// Root trips ctxflow: an ambient context below cmd/.
+func Root() context.Context {
+	return context.Background()
 }
 `)
 	loader := analysis.NewModuleLoader(dir, "thermometer")
@@ -171,8 +169,8 @@ func Spin(ch chan int) {
 	if byAnalyzer["noambient"] == 0 {
 		t.Errorf("expected a noambient finding, got %v\n%s", byAnalyzer, out)
 	}
-	if byAnalyzer["goexit"] == 0 {
-		t.Errorf("expected a goexit finding, got %v\n%s", byAnalyzer, out)
+	if byAnalyzer["ctxflow"] == 0 {
+		t.Errorf("expected a ctxflow finding, got %v\n%s", byAnalyzer, out)
 	}
 }
 

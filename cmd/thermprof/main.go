@@ -36,6 +36,9 @@ func main() {
 	if *tracePath == "" {
 		fatalf("need -trace")
 	}
+	if *entries <= 0 || *ways <= 0 || *entries < *ways {
+		fatalf("invalid BTB geometry: %d entries / %d ways", *entries, *ways)
+	}
 
 	f, err := os.Open(*tracePath)
 	if err != nil {

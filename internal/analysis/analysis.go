@@ -11,8 +11,8 @@
 // minimal edits.
 //
 // The domain analyzers themselves live in sibling packages (ctxflow,
-// detrange, goexit, lockdiscipline, noambient, observernil, orderedfloat)
-// and are assembled into a suite by cmd/thermolint.
+// detrange, lockdiscipline, noambient, orderedfloat) and are assembled into
+// a suite by cmd/thermolint.
 package analysis
 
 import (

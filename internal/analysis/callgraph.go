@@ -10,8 +10,8 @@ import (
 // Calls through interfaces, function values, and go/defer thunks whose callee
 // cannot be resolved to an in-package declaration simply have no edge — the
 // graph is deliberately lightweight, built for lockdiscipline to follow a
-// lock through the callers of an xxxLocked helper and for goexit to find the
-// body of a spawned method, not for whole-program reachability.
+// lock through the callers of an xxxLocked helper, not for whole-program
+// reachability.
 type CallGraph struct {
 	nodes map[*types.Func]*CallNode
 }

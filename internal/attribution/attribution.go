@@ -49,8 +49,8 @@
 // the static-branch working set (the same bound as the profiler itself),
 // never with trace length.
 //
-// The Recorder is safe for concurrent use: the simulator mutates it while
-// the live debug surfaces (/debug/attrib, /debug/hintqual) read snapshots.
+// The Recorder is safe for concurrent use: a report may be read while the
+// simulator still mutates it.
 package attribution
 
 import (
@@ -199,8 +199,7 @@ type counts struct {
 // Recorder is the audit engine. Create with New, attach via
 // core.Config.Attribution, core.Config.HintQual or both (alongside a
 // telemetry Observer, whose epoch grid the heatmap and the drift windows
-// sample on), and read with the Report and HintReport families or the
-// debug Handler.
+// sample on), and read with the Report and HintReport families.
 type Recorder struct {
 	mu sync.Mutex
 

@@ -2,8 +2,6 @@ package attribution
 
 import (
 	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -248,56 +246,6 @@ func TestUnboundRecorderIsInert(t *testing.T) {
 		if !strings.Contains(string(body), `"`+field+`":[]`) {
 			t.Errorf("unbound report %s is not an empty array: %s", field, body)
 		}
-	}
-}
-
-func TestHandlerEndpoints(t *testing.T) {
-	r := New(Options{})
-	driveHandChecked(t, r)
-	b := btb.NewWithSets(1, 2, policy.NewLRU())
-	b.Access(&btb.Request{PC: 5, Target: 9, NextUse: trace.NoNextUse})
-	r.OnEpoch(100, b)
-
-	srv := httptest.NewServer(r.Handler())
-	defer srv.Close()
-
-	for _, tc := range []struct {
-		path, wantType string
-		wantStatus     int
-	}{
-		{"/debug/attrib", "application/json", http.StatusOK},
-		{"/debug/attrib?top=5", "application/json", http.StatusOK},
-		{"/debug/attrib?top=bogus", "text/plain; charset=utf-8", http.StatusBadRequest},
-		{"/debug/attrib/heatmap", "text/html; charset=utf-8", http.StatusOK},
-		{"/debug/attrib/heatmap.csv", "text/csv", http.StatusOK},
-	} {
-		resp, err := http.Get(srv.URL + tc.path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", tc.path, err)
-		}
-		if resp.StatusCode != tc.wantStatus {
-			t.Errorf("GET %s: status %d, want %d", tc.path, resp.StatusCode, tc.wantStatus)
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != tc.wantType {
-			t.Errorf("GET %s: content type %q, want %q", tc.path, ct, tc.wantType)
-		}
-		resp.Body.Close()
-	}
-
-	resp, err := http.Get(srv.URL + "/debug/attrib")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var rep Report
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		t.Fatalf("decode /debug/attrib: %v", err)
-	}
-	if rep.Policy != "lru" || rep.Misses.Total != 4 || rep.Regret.Charged != 1 {
-		t.Fatalf("served report %+v", rep)
-	}
-	if len(rep.Heat) != 1 || rep.Heat[0].EndInstr != 100 {
-		t.Fatalf("served heat %+v", rep.Heat)
 	}
 }
 

@@ -53,8 +53,8 @@ type BranchAudit struct {
 	Ratio     float64 `json:"ratio"`
 }
 
-// HintReport is a consistent snapshot of the hint-quality audit; it is the
-// JSON body served at /debug/hintqual and the source for the text report.
+// HintReport is a consistent snapshot of the hint-quality audit and the
+// source for the text report.
 type HintReport struct {
 	Policy     string  `json:"policy"`
 	Sets       int     `json:"sets"`
@@ -227,35 +227,6 @@ func (r *Recorder) WriteHintText(w io.Writer, topN int) error {
 		}
 	}
 	p("  window ring: %d retained, %d dropped\n", len(rep.Windows), rep.WindowsDropped)
-	_, err := w.Write(b.Bytes())
-	return err
-}
-
-// WriteWindowsCSV emits the retained drift windows as CSV: one row per
-// window with bounds, access count, the two distributions, L1, and flag.
-func (r *Recorder) WriteWindowsCSV(w io.Writer) error {
-	rep := r.HintReport(1)
-	var b bytes.Buffer
-	p := func(format string, args ...any) { fmt.Fprintf(&b, format, args...) }
-	p("start_instr,end_instr,accesses")
-	for i := 0; i < rep.Categories; i++ {
-		p(",predicted_%d", i)
-	}
-	for i := 0; i < rep.Categories; i++ {
-		p(",observed_%d", i)
-	}
-	p(",l1,drift\n")
-	for i := range rep.Windows {
-		row := &rep.Windows[i]
-		p("%d,%d,%d", row.StartInstr, row.EndInstr, row.Accesses)
-		for _, v := range row.Predicted {
-			p(",%d", v)
-		}
-		for _, v := range row.Observed {
-			p(",%d", v)
-		}
-		p(",%.6f,%t\n", row.L1, row.Drift)
-	}
 	_, err := w.Write(b.Bytes())
 	return err
 }

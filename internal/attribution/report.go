@@ -48,8 +48,8 @@ type RegretSummary struct {
 	ShadowOPTMisses uint64 `json:"shadow_opt_misses"`
 }
 
-// Report is a consistent snapshot of everything the Recorder knows; it is
-// the JSON body served at /debug/attrib and the source for the text report.
+// Report is a consistent snapshot of everything the Recorder knows and the
+// source for the text report.
 type Report struct {
 	Policy   string `json:"policy"`
 	Sets     int    `json:"sets"`

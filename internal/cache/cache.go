@@ -159,14 +159,6 @@ func (c *Cache) Probe(addr uint64) bool {
 	return false
 }
 
-// MissRatio returns misses per access.
-func (c *Cache) MissRatio() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(c.Accesses)
-}
-
 // Cycles to reach each level beyond the L1, as on a contemporary server
 // part.
 const (
@@ -182,12 +174,9 @@ type Hierarchy struct {
 	L2  *Cache
 	LLC *Cache
 
-	// Instruction-side per-level miss counters (L2iMPKI in Fig 3 is
-	// InstrL2Misses per kilo-instruction).
-	InstrFetches   uint64
-	InstrL1Misses  uint64
-	InstrL2Misses  uint64
-	InstrLLCMisses uint64
+	// Instruction fetches and their L1I misses.
+	InstrFetches  uint64
+	InstrL1Misses uint64
 }
 
 // NewHierarchy builds the Table 1 hierarchy.
@@ -212,11 +201,9 @@ func (h *Hierarchy) FetchInstr(addr uint64) (Level, int) {
 	if h.L2.Access(addr) {
 		return L2, L2Latency
 	}
-	h.InstrL2Misses++
 	if h.LLC.Access(addr) {
 		return LLC, LLCLatency
 	}
-	h.InstrLLCMisses++
 	return Memory, MemoryLatency
 }
 

@@ -46,9 +46,6 @@ func TestHitAfterFill(t *testing.T) {
 	if c.Accesses != 4 || c.Misses != 2 {
 		t.Fatalf("stats = %d/%d", c.Misses, c.Accesses)
 	}
-	if c.MissRatio() != 0.5 {
-		t.Fatalf("miss ratio %v", c.MissRatio())
-	}
 }
 
 func TestLRUEviction(t *testing.T) {
@@ -103,8 +100,8 @@ func TestHierarchyLatencies(t *testing.T) {
 	if lvl != L1 || lat != 0 {
 		t.Fatalf("warm fetch = %v/%d", lvl, lat)
 	}
-	if h.InstrFetches != 2 || h.InstrL1Misses != 1 || h.InstrL2Misses != 1 || h.InstrLLCMisses != 1 {
-		t.Fatalf("instr counters: %+v", *h)
+	if h.InstrFetches != 2 || h.InstrL1Misses != 1 || h.L2.Misses != 1 || h.LLC.Misses != 1 {
+		t.Fatalf("instr counters: %+v, L2 misses %d, LLC misses %d", *h, h.L2.Misses, h.LLC.Misses)
 	}
 }
 
@@ -135,15 +132,17 @@ func TestLoadData(t *testing.T) {
 	}
 }
 
-// TestL2iMPKI: Fig 3's L2iMPKI is InstrL2Misses per kilo-instruction
-// (core.Result computes it), and every cold instruction fetch misses L2.
+// TestL2iMPKI: every cold instruction fetch misses L2, the misses Fig 3's
+// L2iMPKI counts (core.Result derives it from its own per-line tallies).
 func TestL2iMPKI(t *testing.T) {
 	h := NewHierarchy()
 	for i := uint64(0); i < 100; i++ {
-		h.FetchInstr(i * 64)
+		if lvl, _ := h.FetchInstr(i * 64); lvl != Memory {
+			t.Fatalf("cold fetch %d served by %v", i, lvl)
+		}
 	}
-	if h.InstrFetches != 100 || h.InstrL2Misses != 100 {
-		t.Fatalf("%d fetches, %d L2 misses, want 100 of each", h.InstrFetches, h.InstrL2Misses)
+	if h.InstrFetches != 100 || h.L2.Misses != 100 {
+		t.Fatalf("%d fetches, %d L2 misses, want 100 of each", h.InstrFetches, h.L2.Misses)
 	}
 }
 

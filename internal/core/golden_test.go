@@ -382,7 +382,8 @@ func TestSharedRecorderMatchesTwo(t *testing.T) {
 	}
 }
 
-// auditHash fingerprints the attached recorders' reports and CSVs.
+// auditHash fingerprints the attached recorders' reports and the heatmap
+// CSV.
 func auditHash(t *testing.T, att, hq *attribution.Recorder) string {
 	t.Helper()
 	h := sha256.New()
@@ -402,9 +403,6 @@ func auditHash(t *testing.T, att, hq *attribution.Recorder) string {
 			t.Fatalf("hint-quality report JSON: %v", err)
 		}
 		h.Write(j)
-		if err := hq.WriteWindowsCSV(h); err != nil {
-			t.Fatalf("drift-window CSV: %v", err)
-		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -9,13 +9,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"thermometer/internal/belady"
 	"thermometer/internal/btb"
@@ -24,7 +22,6 @@ import (
 	"thermometer/internal/policy"
 	"thermometer/internal/profile"
 	"thermometer/internal/runner"
-	"thermometer/internal/telemetry"
 	"thermometer/internal/trace"
 	"thermometer/internal/workload"
 )
@@ -124,42 +121,26 @@ type Context struct {
 	// any width: loop bodies write indexed slots and aggregation stays
 	// serial, so floating-point sums accumulate in the same order.
 	Workers int
-	// Ctx, when non-nil, cancels experiments between loop iterations; a
-	// canceled run panics with the context's error (recovered by
-	// cmd/paperfigs into a timeout exit).
-	Ctx context.Context
-
-	// Telemetry, when non-nil, collects sweep-level metrics: per-experiment
-	// wall time, trace cache traffic. cmd/paperfigs wires it for its
-	// -metrics and -http flags; nil disables collection.
-	Telemetry *telemetry.Registry
 
 	mu     sync.Mutex
 	traces map[string]*ctxTraceSlot // guarded by mu
 }
 
 // ctxTraceSlot is a single-flight cache slot: the goroutine that creates a
-// slot under c.mu counts the miss and every other requester blocks on the
-// Once instead of regenerating, so cache counters stay deterministic at any
-// pool width.
+// slot under c.mu generates the trace and every other requester blocks on
+// the Once instead of regenerating.
 type ctxTraceSlot struct {
 	once sync.Once
 	tr   *trace.Trace
 }
 
 // forEach runs fn(0..n-1) on the context's worker pool with serial
-// semantics preserved: fn must write results only to its own index, panics
-// re-propagate (lowest index first, as a serial loop would), and a canceled
-// Ctx stops dispatching and panics with the context error.
+// semantics preserved: fn must write results only to its own index, and
+// panics re-propagate (lowest index first, as a serial loop would) once
+// every index has run.
 func (c *Context) forEach(n int, fn func(i int)) {
-	if c.Ctx != nil && c.Ctx.Err() != nil {
-		panic(c.Ctx.Err())
-	}
 	panics := make([]any, n)
 	runner.ForEach(c.Workers, n, func(i int) {
-		if c.Ctx != nil && c.Ctx.Err() != nil {
-			return
-		}
 		defer func() {
 			if r := recover(); r != nil {
 				panics[i] = r
@@ -171,9 +152,6 @@ func (c *Context) forEach(n int, fn func(i int)) {
 		if p != nil {
 			panic(p)
 		}
-	}
-	if c.Ctx != nil && c.Ctx.Err() != nil {
-		panic(c.Ctx.Err())
 	}
 }
 
@@ -216,29 +194,14 @@ func (c *Context) appTable(t *Table, apps []string, noVerilator bool, row func(a
 	return []*Table{t}
 }
 
-// count bumps a telemetry counter if collection is enabled.
-func (c *Context) count(name string) {
-	if c.Telemetry != nil {
-		c.Telemetry.Counter(name).Inc()
-	}
-}
-
-// Run executes one registered experiment, recording its wall time (in
-// milliseconds, under "exp_<id>_ms") and completion count when telemetry is
-// attached. It panics on unknown IDs, like indexing Registry directly.
+// Run executes one registered experiment. It panics on unknown IDs, like
+// indexing Registry directly.
 func (c *Context) Run(id string) []*Table {
 	fn := Registry[id]
 	if fn == nil {
 		panic("experiments: unknown experiment " + id)
 	}
-	start := time.Now() //lint:allow noambient wall-clock experiment timing for telemetry, not simulated time
-	tables := fn(c)
-	if c.Telemetry != nil {
-		//lint:allow noambient wall-clock experiment timing for telemetry, not simulated time
-		c.Telemetry.Counter("exp_" + id + "_ms").Add(uint64(time.Since(start).Milliseconds()))
-		c.Telemetry.Counter("experiments_run").Inc()
-	}
-	return tables
+	return fn(c)
 }
 
 // NewContext returns a context at the given scale.
@@ -259,9 +222,6 @@ func (c *Context) AppTrace(name string, input int) *trace.Trace {
 	if !ok {
 		slot = &ctxTraceSlot{}
 		c.traces[key] = slot
-		c.count("trace_cache_misses")
-	} else {
-		c.count("trace_cache_hits")
 	}
 	c.mu.Unlock()
 	slot.once.Do(func() {

@@ -92,6 +92,34 @@ func TestContextCaching(t *testing.T) {
 	}
 }
 
+// TestForEachPanicSemantics: with panics at two indices, forEach re-raises
+// the lower index's value, as a serial loop would, and only after every
+// other index has run, at any pool width.
+func TestForEachPanicSemantics(t *testing.T) {
+	const n = 64
+	for _, workers := range []int{1, 8} {
+		ran := make([]bool, n)
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			(&Context{Workers: workers}).forEach(n, func(i int) {
+				ran[i] = true
+				if i == 9 || i == 41 {
+					panic(i)
+				}
+			})
+			return nil
+		}()
+		if got != 9 {
+			t.Errorf("workers %d: re-raised %v, want 9", workers, got)
+		}
+		for i, ok := range ran {
+			if !ok {
+				t.Errorf("workers %d: index %d never ran", workers, i)
+			}
+		}
+	}
+}
+
 func TestFig1Shape(t *testing.T) {
 	tabs := Fig1(quickCtx())
 	tab := tabs[0]

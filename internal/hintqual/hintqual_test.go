@@ -1,9 +1,7 @@
 package hintqual
 
 import (
-	"encoding/json"
 	"math"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -251,48 +249,6 @@ func TestRecorderSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state demand access allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
-func TestHandlerSurfaces(t *testing.T) {
-	r := New(Options{})
-	f := bind(r, "srrip", 4, 1, table(map[uint64]uint8{0x10: profile.Hot}))
-	for i := 0; i < 8; i++ {
-		access(f, 0x10, i)
-	}
-	f.OnEpoch(100, nil)
-	h := r.Handler()
-
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/hintqual", nil))
-	var rep attribution.HintReport
-	if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil {
-		t.Fatalf("JSON body: %v", err)
-	}
-	if rep.Policy != "srrip" || rep.Summary.Accesses != 8 {
-		t.Fatalf("report = %s/%d accesses", rep.Policy, rep.Summary.Accesses)
-	}
-
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/hintqual?top=0", nil))
-	if rec.Code != 400 {
-		t.Fatalf("top=0 status %d, want 400", rec.Code)
-	}
-
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/hintqual/heatmap", nil))
-	if body := rec.Body.String(); !strings.Contains(body, "<svg") || !strings.Contains(body, "srrip") {
-		t.Fatalf("heatmap page missing SVG or policy name:\n%.200s", body)
-	}
-
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/hintqual/windows.csv", nil))
-	body := rec.Body.String()
-	if !strings.HasPrefix(body, "start_instr,end_instr,accesses") {
-		t.Fatalf("csv header:\n%.200s", body)
-	}
-	if lines := strings.Count(strings.TrimSpace(body), "\n"); lines != 1 {
-		t.Fatalf("csv rows = %d, want 1", lines)
 	}
 }
 

@@ -2,19 +2,17 @@ package telemetry
 
 import (
 	"expvar"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"strings"
 )
 
-// Mount attaches an extra handler to the observer's debug server at a path
-// prefix. Package telemetry stays free of simulator imports, so subsystems
-// with their own debug surfaces (the attribution layer's /debug/attrib) hand
-// their handlers in rather than being imported here.
+// Mount attaches an extra handler to the observer's debug mux at a path
+// prefix. Package telemetry stays free of server imports, so a daemon with
+// its own routes (thermod's /v1/jobs, /debug/sweep) hands its handlers in
+// rather than being imported here.
 type Mount struct {
-	// Pattern is an http.ServeMux pattern ("/debug/attrib",
-	// "/debug/attrib/").
+	// Pattern is an http.ServeMux pattern ("/v1/jobs", "/debug/sweep/").
 	Pattern string
 	Handler http.Handler
 }
@@ -25,8 +23,8 @@ type Mount struct {
 //	/debug/vars    expvar (process + published vars)
 //	/debug/pprof/  runtime profiles (CPU, heap, goroutine, …)
 //
-// plus any extra mounts. It is exported separately from Serve so tests (and
-// embedders with their own server lifecycle) can drive it directly.
+// plus any extra mounts. The caller owns the server and its lifecycle
+// (thermod serves it beside the job API; tests use httptest).
 func (o *Observer) Handler(mounts ...Mount) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/debug/vars", expvar.Handler())
@@ -42,25 +40,10 @@ func (o *Observer) Handler(mounts ...Mount) http.Handler {
 	for _, m := range mounts {
 		mux.Handle(m.Pattern, m.Handler)
 		// Register the trailing-slash subtree too, so one Mount covers both
-		// /debug/attrib and /debug/attrib/heatmap.
+		// /v1/jobs and /v1/jobs/job-000001/events.
 		if !strings.HasSuffix(m.Pattern, "/") {
 			mux.Handle(m.Pattern+"/", m.Handler)
 		}
 	}
 	return mux
-}
-
-// Serve exposes the observer (and any extra mounts) on an HTTP endpoint for
-// live inspection of long sweeps; see Handler for the routes. It binds addr
-// immediately (so misconfigured addresses fail fast), then serves in a
-// background goroutine. bound is the resolved listen address (useful with
-// ":0"); the returned shutdown function closes the listener.
-func (o *Observer) Serve(addr string, mounts ...Mount) (bound string, shutdown func() error, err error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, err
-	}
-	srv := &http.Server{Handler: o.Handler(mounts...)}
-	go func() { _ = srv.Serve(ln) }()
-	return ln.Addr().String(), srv.Close, nil
 }
