@@ -205,6 +205,218 @@ func TestSingleNodeGoldenByteIdentity(t *testing.T) {
 	}
 }
 
+// trafficSpecs is a small sweep of the kinds the thermod-sweeps benchmark
+// submits: suite replays under two policies, one with hints, and a
+// quarter-length timing spec with hints.
+func trafficSpecs() []runner.Spec {
+	return []runner.Spec{
+		{Suite: runner.SuiteCBP5, Index: 3, Scale: 16, Mode: runner.ModeReplay, Policy: "lru"},
+		{Suite: runner.SuiteCBP5, Index: 3, Scale: 16, Mode: runner.ModeReplay, Policy: "thermometer", Hints: true},
+		{Suite: runner.SuiteCBP5, Index: 3, Scale: 64, Mode: runner.ModeTiming, Policy: "thermometer", Hints: true},
+	}
+}
+
+// progressEvent is one SSE progress frame, decoded into raw fields so the
+// test can tell an absent field from a zero one.
+type progressEvent struct {
+	Progress map[string]json.RawMessage `json:"progress"`
+}
+
+// followEvents reads a job's SSE stream up to its end event and returns the
+// progress payloads in stream order.
+func followEvents(t *testing.T, baseURL, id string) []map[string]json.RawMessage {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/v1/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("event stream: HTTP %d", resp.StatusCode)
+	}
+	var out []map[string]json.RawMessage
+	event := ""
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "event: "):
+			event = strings.TrimPrefix(line, "event: ")
+			if event == "end" {
+				return out
+			}
+		case strings.HasPrefix(line, "data: ") && event == "progress":
+			var ev progressEvent
+			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
+				t.Fatalf("progress frame %q: %v", line, err)
+			}
+			out = append(out, ev.Progress)
+		}
+	}
+	t.Fatalf("event stream of %s closed before its end event (scan error %v)", id, sc.Err())
+	return nil
+}
+
+// trafficJob is the job envelope as the benchmark client decodes it.
+type trafficJob struct {
+	ID          string     `json:"id"`
+	State       string     `json:"state"`
+	SubmittedAt time.Time  `json:"submitted_at"`
+	StartedAt   *time.Time `json:"started_at"`
+	Failed      int        `json:"failed"`
+	Results     []struct {
+		Cached  bool            `json:"cached"`
+		Outcome json.RawMessage `json:"outcome"`
+		Err     string          `json:"error"`
+	} `json:"results"`
+}
+
+// trafficSweep submits specs as a bare JSON array, follows the job's event
+// stream to its end and fetches the finished job, as the benchmark client
+// does. It returns the progress payloads and the job.
+func trafficSweep(t *testing.T, baseURL string, specs []runner.Spec) ([]map[string]json.RawMessage, trafficJob) {
+	t.Helper()
+	body, err := json.Marshal(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(baseURL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var job trafficJob
+	err = json.NewDecoder(resp.Body).Decode(&job)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted || err != nil || job.ID == "" {
+		t.Fatalf("submit: status %s, decode err %v, job %+v", resp.Status, err, job)
+	}
+	progress := followEvents(t, baseURL, job.ID)
+
+	resp, err = http.Get(baseURL + "/v1/jobs/" + job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&job)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("fetch %s: status %s, decode err %v", job.ID, resp.Status, err)
+	}
+	if job.State != "done" || job.Failed != 0 || len(job.Results) != len(specs) {
+		t.Fatalf("job %s: state %q, %d failed, %d of %d results", job.ID, job.State, job.Failed, len(job.Results), len(specs))
+	}
+	if job.SubmittedAt.IsZero() || job.StartedAt == nil || job.StartedAt.Before(job.SubmittedAt) {
+		t.Fatalf("job %s: submitted_at %v, started_at %v", job.ID, job.SubmittedAt, job.StartedAt)
+	}
+	return progress, job
+}
+
+// doneProgress returns the progress payloads whose state is done, failing
+// on any other terminal state.
+func doneProgress(t *testing.T, progress []map[string]json.RawMessage) []map[string]json.RawMessage {
+	t.Helper()
+	var done []map[string]json.RawMessage
+	for _, p := range progress {
+		switch state := string(p["state"]); state {
+		case `"started"`:
+		case `"done"`:
+			done = append(done, p)
+		default:
+			t.Fatalf("progress state %s, want started or done", state)
+		}
+	}
+	return done
+}
+
+// TestBenchmarkTraffic drives a spawned thermod with exactly the traffic the
+// thermod-sweeps benchmark sends: -addr alone, /readyz, a bare-array submit,
+// the SSE stream read to its end event, the job fetch, a resubmission served
+// from the result cache, three /metrics counters and a SIGTERM drain.
+func TestBenchmarkTraffic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a thermod process and runs a real sweep")
+	}
+	p := startThermod(t)
+	resp, err := http.Get(p.url + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/readyz: HTTP %d, want 200", resp.StatusCode)
+	}
+
+	specs := trafficSpecs()
+	progress, first := trafficSweep(t, p.url, specs)
+	done := doneProgress(t, progress)
+	if len(done) != len(specs) {
+		t.Fatalf("%d done progress events, want %d", len(done), len(specs))
+	}
+	for i, d := range done {
+		if c, ok := d["cached"]; ok && string(c) != "false" {
+			t.Fatalf("fresh spec's progress %d reads cached %s", i, c)
+		}
+		var ms float64
+		if err := json.Unmarshal(d["duration_ms"], &ms); err != nil || ms <= 0 {
+			t.Fatalf("fresh spec's progress %d: duration_ms %s (%v), want > 0", i, d["duration_ms"], err)
+		}
+	}
+	for i, r := range first.Results {
+		if r.Cached || r.Err != "" || len(r.Outcome) == 0 {
+			t.Fatalf("first sweep result %d: cached %v, error %q, outcome %s", i, r.Cached, r.Err, r.Outcome)
+		}
+	}
+
+	progress, again := trafficSweep(t, p.url, specs)
+	done = doneProgress(t, progress)
+	if len(done) != len(specs) {
+		t.Fatalf("resubmission: %d done progress events, want %d", len(done), len(specs))
+	}
+	for i, d := range done {
+		if string(d["cached"]) != "true" {
+			t.Fatalf("resubmission progress %d reads cached %s, want true", i, d["cached"])
+		}
+	}
+	for i, r := range again.Results {
+		if !r.Cached || !bytes.Equal(r.Outcome, first.Results[i].Outcome) {
+			t.Fatalf("resubmission result %d: cached %v, outcome equal %v", i, r.Cached, bytes.Equal(r.Outcome, first.Results[i].Outcome))
+		}
+	}
+
+	var snap struct {
+		Metrics struct {
+			Counters map[string]uint64 `json:"counters"`
+		} `json:"metrics"`
+	}
+	resp, err = http.Get(p.url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&snap)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("/metrics: status %s, decode err %v", resp.Status, err)
+	}
+	ctr := snap.Metrics.Counters
+	if _, ok := ctr["runner_trace_cache_evictions"]; !ok {
+		t.Fatalf("/metrics lacks runner_trace_cache_evictions: %v", ctr)
+	}
+	if n := uint64(len(specs)); ctr["runner_cache_hits"] != n || ctr["runner_cache_misses"] != n {
+		t.Fatalf("/metrics result cache: %d hits, %d misses, want %d of each", ctr["runner_cache_hits"], ctr["runner_cache_misses"], n)
+	}
+
+	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-p.logged:
+	case <-time.After(30 * time.Second):
+		t.Fatal("thermod still running 30s after SIGTERM")
+	}
+	if err := p.cmd.Wait(); err != nil {
+		t.Fatalf("thermod exit after SIGTERM: %v, want status 0", err)
+	}
+}
+
 // firstDiff renders the first divergent line of two texts for readable
 // failures (the full documents are thousands of lines).
 func firstDiff(want, got string) string {
