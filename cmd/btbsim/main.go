@@ -100,6 +100,13 @@ func main() {
 	if *entries <= 0 || *ways <= 0 || *entries < *ways {
 		fatalf("invalid BTB geometry: %d entries / %d ways", *entries, *ways)
 	}
+	// The BTB is built of whole sets, so an -entries that -ways does not
+	// divide is truncated; the header and manifest give the built size.
+	built := *entries / *ways * *ways
+	if built != *entries {
+		fmt.Fprintf(os.Stderr, "btbsim: %d entries is not a multiple of %d ways; using %d sets of %d ways (%d entries)\n",
+			*entries, *ways, built / *ways, *ways, built)
+	}
 	if *ftq <= 0 {
 		fatalf("invalid FTQ capacity %d", *ftq)
 	}
@@ -196,7 +203,7 @@ func main() {
 		"tracefile": *tracePath,
 		"records":   fmt.Sprintf("%d", tr.Len()),
 		"policy":    *polName,
-		"entries":   fmt.Sprintf("%d", *entries),
+		"entries":   fmt.Sprintf("%d", built),
 		"ways":      fmt.Sprintf("%d", *ways),
 		"ftq":       fmt.Sprintf("%d", *ftq),
 		"twolevel":  fmt.Sprintf("%v", *twoLevel),
@@ -218,7 +225,7 @@ func main() {
 	fmt.Printf("manifest: %s\n", strings.Join(parts, " "))
 
 	r := core.Run(tr, cfg)
-	fmt.Printf("trace %s, policy %s, BTB %d×%d\n", tr.Name, *polName, *entries, *ways)
+	fmt.Printf("trace %s, policy %s, BTB %d×%d\n", tr.Name, *polName, built, *ways)
 	fmt.Printf("  instructions %d  cycles %d  IPC %.3f\n", r.Instructions, r.Cycles, r.IPC())
 	fmt.Printf("  BTB: %.2f%% hit rate, %.2f MPKI, %d bypasses\n",
 		100*r.BTB.HitRate(), r.BTBMPKI(), r.BTB.Bypasses)

@@ -204,3 +204,27 @@ func TestBadEventCap(t *testing.T) {
 		}
 	}
 }
+
+// An -entries that -ways does not divide builds whole sets only: btbsim
+// names the geometry it uses on stderr, and its header and manifest give
+// the built entry count. A geometry that divides prints no such line.
+func TestTruncatedGeometry(t *testing.T) {
+	_, tracePath, _ := inputs(t)
+	for _, tc := range []struct {
+		entries, stderr, header, manifest string
+	}{
+		{"7979", "btbsim: 7979 entries is not a multiple of 4 ways; using 1994 sets of 4 ways (7976 entries)\n", "BTB 7976×4", "entries=7976 "},
+		{"8192", "", "BTB 8192×4", "entries=8192 "},
+	} {
+		stdout, stderr, code := btbsim(t, "-trace", tracePath, "-policy", "lru", "-entries", tc.entries, "-ways", "4")
+		if code != 0 {
+			t.Fatalf("-entries %s: exit %d\n%s%s", tc.entries, code, stdout, stderr)
+		}
+		if stderr != tc.stderr {
+			t.Errorf("-entries %s: stderr %q, want %q", tc.entries, stderr, tc.stderr)
+		}
+		if !strings.Contains(stdout, ", "+tc.header+"\n") || !strings.Contains(stdout, " "+tc.manifest) {
+			t.Errorf("-entries %s: stdout lacks %q or %q:\n%s", tc.entries, tc.header, tc.manifest, stdout)
+		}
+	}
+}

@@ -39,6 +39,11 @@ func main() {
 	if *entries <= 0 || *ways <= 0 || *entries < *ways {
 		fatalf("invalid BTB geometry: %d entries / %d ways", *entries, *ways)
 	}
+	if *entries%*ways != 0 {
+		sets := *entries / *ways
+		fmt.Fprintf(os.Stderr, "thermprof: %d entries is not a multiple of %d ways; profiling %d sets of %d ways (%d entries)\n",
+			*entries, *ways, sets, *ways, sets**ways)
+	}
 
 	f, err := os.Open(*tracePath)
 	if err != nil {

@@ -102,3 +102,22 @@ func TestWritesReadableHints(t *testing.T) {
 		t.Errorf("%d hints over %d categories, want some over 3", ht.Len(), ht.Config.Categories())
 	}
 }
+
+// An -entries that -ways does not divide is profiled as whole sets, and
+// thermprof names the geometry it uses on stderr; a geometry that divides
+// prints no such line.
+func TestTruncatedGeometry(t *testing.T) {
+	dir, tracePath := kafkaTrace(t)
+	for _, tc := range []struct{ entries, stderr string }{
+		{"7979", "thermprof: 7979 entries is not a multiple of 4 ways; profiling 1994 sets of 4 ways (7976 entries)\n"},
+		{"8192", ""},
+	} {
+		stdout, stderr, code := thermprof(t, "-trace", tracePath, "-entries", tc.entries, "-ways", "4", "-o", filepath.Join(dir, tc.entries+".hints"))
+		if code != 0 {
+			t.Fatalf("-entries %s: exit %d\n%s%s", tc.entries, code, stdout, stderr)
+		}
+		if stderr != tc.stderr {
+			t.Errorf("-entries %s: stderr %q, want %q", tc.entries, stderr, tc.stderr)
+		}
+	}
+}

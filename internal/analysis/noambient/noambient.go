@@ -22,13 +22,9 @@ import (
 // packages that legitimately touch wall-clock or wrap math/rand. server is
 // exempt because it owns the job envelope timestamps (submitted/started/
 // finished); the runner layer underneath it stays in scope — its results
-// must remain a pure function of the spec for content-addressed caching,
-// so its latency metrics flow through an injected clock instead.
+// must remain a pure function of the spec for content-addressed caching.
 //
-// The telemetry exemption is the package itself only, NOT its subtree:
-// internal/telemetry/span is a tracing primitive used inside the runner, so
-// it must honor the same contract — span timestamps come exclusively from
-// the injected NowNanos clock.
+// The telemetry exemption is the package itself only, NOT its subtree.
 var (
 	Scope  = regexp.MustCompile(`^thermometer/internal/`)
 	Exempt = regexp.MustCompile(`^thermometer/internal/((xrand|analysis|detmap|server)(/|$)|telemetry$)`)

@@ -14,9 +14,8 @@ import (
 //
 // Metric handles are resolved by name here, once. Per-event updates go to
 // run-local plain counters and LocalHistograms, which flush into the
-// registry at every epoch close, every flushInstrs retired instructions
-// and at the end of the run, so a live /metrics reader lags by at most
-// that much.
+// registry once, at the end of the run: every reader of a run's registry
+// reads it after Run returns.
 type observerState struct {
 	obs    *telemetry.Observer
 	events *telemetry.Tracer // obs.Events
@@ -34,7 +33,6 @@ type observerState struct {
 	inserts, evicts, bypasses, prefetches           uint64
 	redirectBTB, redirectDir, redirectTgt           uint64
 	evictionAge, hitInterval, ftqLead, redirectCost telemetry.LocalHistogram
-	nextFlush                                       uint64 // instruction count of the next flush
 
 	// stamps holds per-branch insert and last-hit cycles for the
 	// eviction-age and reuse-interval histograms. A branch's stamps go when
@@ -50,14 +48,9 @@ type observerState struct {
 	final telemetry.Cumulative
 }
 
-// flushInstrs bounds how many retired instructions the registry may lag
-// the run by.
-const flushInstrs = 1 << 16
-
 func newObserverState(obs *telemetry.Observer, res *Result, bank *btbBank, twoLevel *btb.TwoLevel) *observerState {
 	o := &observerState{
 		obs: obs, events: obs.Events, res: res, bank: bank, twoLevel: twoLevel,
-		nextFlush: flushInstrs,
 	}
 	if bank.cond == nil && twoLevel == nil {
 		o.stamps.ways = bank.main.Ways()
@@ -154,47 +147,33 @@ func (o *observerState) onRedirect(btbMiss, dirMiss, targetMiss bool, pc uint64,
 
 // afterBlock runs once per simulated block: it samples the FTQ lead and
 // closes an epoch when the instruction count crosses a boundary. The
-// no-boundary case is one staged histogram add and two compares.
+// no-boundary case is one staged histogram add and one compare.
 func (o *observerState) afterBlock(leadCycles uint64) {
 	o.ftqLead.Observe(leadCycles)
 	if s := o.obs.Epochs; s != nil && s.Due(o.res.Instructions) {
 		cum := o.cumulative()
 		s.Tick(&cum)
-		o.flush()
 		o.fan.epoch()
 	}
-	if o.res.Instructions >= o.nextFlush {
-		o.flush()
-	}
 }
 
-// flush publishes the staged updates to the registry.
-func (o *observerState) flush() {
-	o.nextFlush = o.res.Instructions + flushInstrs
-	if o.obs.Metrics == nil {
-		return
-	}
-	add := func(c *telemetry.Counter, n *uint64) {
-		c.Add(*n)
-		*n = 0
-	}
-	add(o.cInsert, &o.inserts)
-	add(o.cEvict, &o.evicts)
-	add(o.cBypass, &o.bypasses)
-	add(o.cPrefetch, &o.prefetches)
-	add(o.cRedirectBTB, &o.redirectBTB)
-	add(o.cRedirectDir, &o.redirectDir)
-	add(o.cRedirectTgt, &o.redirectTgt)
-	o.evictionAge.FlushTo(o.hEvictionAge)
-	o.hitInterval.FlushTo(o.hHitInterval)
-	o.ftqLead.FlushTo(o.hFTQLead)
-	o.redirectCost.FlushTo(o.hRedirectPenalty)
-}
-
-// flushEpoch publishes the staged updates, takes the end-of-run snapshot,
-// closes the final partial epoch and reports whether one closed.
+// flushEpoch publishes the run's staged updates to the registry (the run's
+// one flush), takes the end-of-run snapshot, closes the final partial epoch
+// and reports whether one closed.
 func (o *observerState) flushEpoch() bool {
-	o.flush()
+	if o.obs.Metrics != nil {
+		o.cInsert.Add(o.inserts)
+		o.cEvict.Add(o.evicts)
+		o.cBypass.Add(o.bypasses)
+		o.cPrefetch.Add(o.prefetches)
+		o.cRedirectBTB.Add(o.redirectBTB)
+		o.cRedirectDir.Add(o.redirectDir)
+		o.cRedirectTgt.Add(o.redirectTgt)
+		o.evictionAge.FlushTo(o.hEvictionAge)
+		o.hitInterval.FlushTo(o.hHitInterval)
+		o.ftqLead.FlushTo(o.hFTQLead)
+		o.redirectCost.FlushTo(o.hRedirectPenalty)
+	}
 	o.final = o.cumulative()
 	if s := o.obs.Epochs; s != nil {
 		return s.Finish(&o.final)
@@ -254,7 +233,6 @@ func (o *observerState) OnWarmupReset() {
 	if s := o.obs.Epochs; s != nil {
 		s.Restart()
 	}
-	o.flush() // the instruction count restarts too
 	o.stamps.reset()
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"thermometer/internal/telemetry"
-	"thermometer/internal/telemetry/span"
 )
 
 // Engine executes sweeps: grids of Specs fanned out over a bounded worker
@@ -20,23 +19,9 @@ type Engine struct {
 	// spec hash.
 	Cache *Cache
 	// Metrics, when non-nil, receives runner telemetry: runner_jobs_*,
-	// runner_cache_*, runner_queue_depth, runner_jobs_inflight, and — when
-	// NowNanos is also set — the runner_job_latency_us histogram.
+	// runner_cache_*, runner_trace_cache_*, runner_queue_depth and
+	// runner_jobs_inflight.
 	Metrics *telemetry.Registry
-	// NowNanos, when non-nil, is the injected monotonic-ish clock used
-	// ONLY for the job latency histogram. Job execution itself must stay
-	// timestamp-free (the noambient analyzer forbids time.Now in this
-	// package), so the serving layer injects its clock here and cached
-	// results stay interchangeable with fresh ones.
-	NowNanos func() int64
-	// Spans, when non-nil, receives lifecycle spans for every job: a root
-	// "job" span plus cache/trace_load/hint_load/simulate/aggregate stage
-	// children. Span identity derives from the job's spec key (see package
-	// span), so repeat sweeps trace identically; the tracer carries its own
-	// injected clock, keeping this package timestamp-free. Spans observe
-	// execution without influencing it — outcomes are byte-identical with
-	// the tracer attached or absent.
-	Spans *span.Tracer
 
 	queued   atomic.Int64
 	inflight atomic.Int64
@@ -92,14 +77,8 @@ type Progress struct {
 	// Cached reports a result served from the content-addressed cache
 	// (terminal states only).
 	Cached bool
-	// Key is the spec's content address ("" for invalid specs).
-	Key string
 	// Err echoes Result.Err for failed/invalid/canceled jobs.
 	Err string
-	// Instructions and Accesses echo the outcome so observers can derive
-	// throughput (blocks/sec) against their own clock.
-	Instructions uint64
-	Accesses     uint64
 }
 
 // Sweep executes the specs and returns one Result per spec, in submission
@@ -146,7 +125,7 @@ func (e *Engine) SweepProgress(ctx context.Context, specs []Spec, fn func(Progre
 // progressOf derives the terminal progress notification from a completed
 // Result.
 func progressOf(i int, r Result) Progress {
-	p := Progress{Index: i, State: r.state, Cached: r.Cached, Key: r.Key, Err: r.Err}
+	p := Progress{Index: i, State: r.state, Cached: r.Cached, Err: r.Err}
 	if p.State == "" {
 		if r.Err == "" {
 			p.State = ProgressDone
@@ -154,42 +133,7 @@ func progressOf(i int, r Result) Progress {
 			p.State = ProgressFailed
 		}
 	}
-	if p.State == ProgressDone && r.Outcome != nil {
-		p.Instructions = r.Outcome.Instructions
-		p.Accesses = r.Outcome.Accesses
-	}
 	return p
-}
-
-// Run executes a single spec (a one-job sweep).
-func (e *Engine) Run(ctx context.Context, spec Spec) Result {
-	return e.Sweep(ctx, []Spec{spec})[0]
-}
-
-// spanScope carries the deterministic span identity of one job through its
-// execution stages. The zero scope (nil tracer) is inert, so the untraced
-// path costs one nil check per stage.
-type spanScope struct {
-	t     *span.Tracer
-	key   string  // the job's spec content address
-	trace span.ID // Derive(key)
-	root  span.ID // Derive(key, "job"), parent of every stage span
-}
-
-func newSpanScope(t *span.Tracer, key string) spanScope {
-	if t == nil {
-		return spanScope{}
-	}
-	return spanScope{t: t, key: key, trace: span.Derive(key), root: span.Derive(key, "job")}
-}
-
-// start opens a stage span under the job root; its ID derives from the spec
-// key and stage name, so repeat runs trace identically.
-func (sc spanScope) start(name string) span.Active {
-	if sc.t == nil {
-		return span.Active{}
-	}
-	return sc.t.Start(sc.trace, span.Derive(sc.key, name), sc.root, name)
 }
 
 func (e *Engine) runJob(ctx context.Context, spec Spec) Result {
@@ -199,49 +143,28 @@ func (e *Engine) runJob(ctx context.Context, spec Spec) Result {
 		return Result{Spec: spec, Err: "invalid spec: " + err.Error(), state: ProgressInvalid}
 	}
 	res := Result{Spec: norm, Key: norm.Key()}
-	sc := newSpanScope(e.Spans, res.Key)
-	var job span.Active
-	if sc.t != nil {
-		job = sc.t.Start(sc.trace, sc.root, 0, "job")
-	}
 	if ctx != nil && ctx.Err() != nil {
 		e.count("runner_jobs_canceled")
 		res.Err = "canceled: " + ctx.Err().Error()
 		res.state = ProgressCanceled
-		job.EndDetail("canceled")
 		return res
 	}
 	if e.Cache != nil {
-		lookup := sc.start("cache")
-		out, ok := e.Cache.Get(res.Key)
-		if ok {
-			lookup.EndDetail("hit")
+		if out, ok := e.Cache.Get(res.Key); ok {
 			e.count("runner_cache_hits")
 			res.Cached = true
 			res.Outcome = out
 			res.state = ProgressDone
-			job.EndDetail("cached")
 			return res
 		}
-		lookup.EndDetail("miss")
 		e.count("runner_cache_misses")
 	}
 
-	var start int64
-	if e.NowNanos != nil {
-		start = e.NowNanos()
-	}
-	out, err := e.executeSafe(norm, sc)
-	if e.NowNanos != nil && e.Metrics != nil {
-		if d := e.NowNanos() - start; d > 0 {
-			e.Metrics.Histogram("runner_job_latency_us").Observe(uint64(d) / 1000)
-		}
-	}
+	out, err := e.executeSafe(norm)
 	if err != nil {
 		e.count("runner_jobs_failed")
 		res.Err = err.Error()
 		res.state = ProgressFailed
-		job.EndDetail("failed")
 		return res
 	}
 	res.Outcome = out
@@ -250,14 +173,13 @@ func (e *Engine) runJob(ctx context.Context, spec Spec) Result {
 		e.Cache.Put(res.Key, out)
 	}
 	e.count("runner_jobs_done")
-	job.EndDetail("done")
 	return res
 }
 
 // executeSafe isolates a job panic: a panicking simulation (bad geometry,
 // internal invariant violation) fails that one job instead of unwinding
 // the whole sweep.
-func (e *Engine) executeSafe(spec Spec, sc spanScope) (out *Outcome, err error) {
+func (e *Engine) executeSafe(spec Spec) (out *Outcome, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			out, err = nil, fmt.Errorf("job panicked: %v", r)
@@ -266,7 +188,7 @@ func (e *Engine) executeSafe(spec Spec, sc spanScope) (out *Outcome, err error) 
 	if e.execHook != nil {
 		return e.execHook(spec)
 	}
-	return e.execute(spec, sc)
+	return e.execute(spec)
 }
 
 func (e *Engine) count(name string) {
@@ -282,23 +204,18 @@ func (e *Engine) setGauges() {
 	}
 }
 
-// publishCacheStats mirrors the result cache's internal traffic counters
-// into the metrics registry so they show up on /metrics alongside the
-// engine's own runner_cache_hits/misses (which count only engine-level
-// lookups, not which tier served them or evictions).
+// publishCacheStats mirrors the result cache's evictions and size, and the
+// trace cache's traffic, into the metrics registry beside the engine's own
+// runner_cache_hits/misses.
 func (e *Engine) publishCacheStats() {
 	m := e.Metrics
 	if m == nil {
 		return
 	}
 	if e.Cache != nil {
-		st := e.Cache.Stats()
-		m.SetCounter("runner_cache_mem_hits", st.Hits)
-		m.SetCounter("runner_cache_disk_hits", st.DiskHits)
-		m.SetCounter("runner_cache_lookup_misses", st.Misses)
-		m.SetCounter("runner_cache_evictions", st.Evictions)
-		m.SetCounter("runner_cache_disk_errors", st.DiskErrors)
-		m.Gauge("runner_cache_size").Set(uint64(e.Cache.Len()))
+		size, evictions := e.Cache.Stats()
+		m.SetCounter("runner_cache_evictions", evictions)
+		m.Gauge("runner_cache_size").Set(uint64(size))
 	}
 	// The package-level trace cache is shared by every Engine, so its
 	// counters are process totals, not per-engine.

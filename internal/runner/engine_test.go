@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"thermometer/internal/telemetry"
@@ -90,12 +91,8 @@ func TestSweepResultsInSubmissionOrder(t *testing.T) {
 }
 
 func TestSweepCacheHits(t *testing.T) {
-	cache, err := NewCache(64, "")
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := telemetry.NewRegistry()
-	e := &Engine{Workers: 4, Cache: cache, Metrics: reg}
+	e := &Engine{Workers: 4, Cache: NewCache(64), Metrics: reg}
 	specs := testGrid(t)[:4]
 
 	first := e.Sweep(context.Background(), specs)
@@ -173,23 +170,82 @@ func TestSweepCancellation(t *testing.T) {
 	}
 }
 
-func TestEngineLatencyHistogram(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	var fake int64
-	e := &Engine{Workers: 1, Metrics: reg, NowNanos: func() int64 {
-		fake += 5_000_000 // 5ms per reading
-		return fake
-	}}
-	e.execHook = func(s Spec) (*Outcome, error) { return &Outcome{Trace: s.App}, nil }
-	e.Sweep(context.Background(), []Spec{{App: "kafka"}, {App: "mysql"}})
-	h := reg.Histogram("runner_job_latency_us")
-	if h.Count() != 2 {
-		t.Fatalf("latency observations = %d, want 2", h.Count())
+// TestSweepProgressNotifications checks the callback protocol: exactly one
+// started and one terminal notification per job, terminal states mirroring
+// the results, cache hits flagged.
+func TestSweepProgressNotifications(t *testing.T) {
+	e := &Engine{Workers: 4, Cache: NewCache(64)}
+	specs := []Spec{
+		{App: "kafka", Scale: 64, Mode: ModeReplay},
+		{App: "nosuchapp"}, // invalid
+		{App: "python", Scale: 64, Mode: ModeReplay},
 	}
-	// Outcomes must not embed the injected clock anywhere: latency is
-	// telemetry-only, keeping cached and fresh results interchangeable.
-	r := e.Run(context.Background(), Spec{App: "kafka"})
-	if r.Err != "" || r.Outcome == nil {
-		t.Fatalf("run failed: %+v", r)
+	collect := func() map[int][]Progress {
+		var mu sync.Mutex
+		got := map[int][]Progress{}
+		e.SweepProgress(context.Background(), specs, func(p Progress) {
+			mu.Lock()
+			got[p.Index] = append(got[p.Index], p)
+			mu.Unlock()
+		})
+		return got
+	}
+
+	first := collect()
+	for i := range specs {
+		evs := first[i]
+		if len(evs) != 2 || evs[0].State != ProgressStarted {
+			t.Fatalf("job %d events: %+v", i, evs)
+		}
+	}
+	if first[0][1].State != ProgressDone || first[0][1].Cached || first[0][1].Err != "" {
+		t.Fatalf("job 0 terminal: %+v", first[0][1])
+	}
+	if first[1][1].State != ProgressInvalid || first[1][1].Err == "" {
+		t.Fatalf("job 1 terminal: %+v", first[1][1])
+	}
+
+	second := collect()
+	if !second[0][1].Cached || second[0][1].State != ProgressDone {
+		t.Fatalf("repeat job 0 not reported cached: %+v", second[0][1])
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var mu sync.Mutex
+	var canceled int
+	e.SweepProgress(ctx, specs[:1], func(p Progress) {
+		mu.Lock()
+		if p.State == ProgressCanceled {
+			canceled++
+		}
+		mu.Unlock()
+	})
+	if canceled != 1 {
+		t.Fatalf("canceled notifications = %d, want 1", canceled)
+	}
+}
+
+// TestProgressStateIsExplicit pins that terminal classification comes from
+// the recorded job state, not from re-parsing Result.Err: a simulation
+// failure whose message happens to start with "canceled" or "invalid spec"
+// must still be reported as failed.
+func TestProgressStateIsExplicit(t *testing.T) {
+	e := &Engine{Workers: 1}
+	e.execHook = func(Spec) (*Outcome, error) {
+		return nil, errors.New("canceled upstream: invalid spec payload from backend")
+	}
+	var mu sync.Mutex
+	var terminal []Progress
+	e.SweepProgress(context.Background(), []Spec{{App: "kafka", Scale: 64, Mode: ModeReplay}},
+		func(p Progress) {
+			mu.Lock()
+			if p.State != ProgressStarted {
+				terminal = append(terminal, p)
+			}
+			mu.Unlock()
+		})
+	if len(terminal) != 1 || terminal[0].State != ProgressFailed {
+		t.Fatalf("misleading error text misclassified: %+v", terminal)
 	}
 }

@@ -127,33 +127,25 @@ func (e *Engine) trace(s Spec) *trace.Trace {
 // execute runs one normalized spec to completion. It is a pure function of
 // the spec: no wall clock, no ambient randomness, no shared mutable state
 // beyond the single-flight trace cache and the hint tables memoized on its
-// traces (themselves pure functions of the spec fields that key them). The
-// span scope, when live, times the stages — trace load, hint load,
-// simulate, aggregate — without touching the result.
-func (e *Engine) execute(s Spec, sc spanScope) (*Outcome, error) {
-	load := sc.start("trace_load")
+// traces (themselves pure functions of the spec fields that key them).
+func (e *Engine) execute(s Spec) (*Outcome, error) {
 	tr := e.trace(s)
-	load.End()
 	var ht *profile.HintTable
 	if s.Hints {
-		hints := sc.start("hint_load")
 		entries := s.BTBEntries
 		if s.HintEntries > 0 {
 			entries = s.HintEntries
 		}
 		var err error
 		if ht, err = profile.HintsFor(tr, entries, s.BTBWays, profile.DefaultConfig()); err != nil {
-			hints.EndDetail("error")
 			return nil, fmt.Errorf("profiling hints: %w", err)
 		}
-		hints.End()
 	}
 
 	newPolicy, _ := policy.ByName(s.Policy) // validated by Normalized
 	out := &Outcome{Trace: tr.Name}
 	switch s.Mode {
 	case ModeReplay:
-		sim := sc.start("simulate")
 		r := replay.Run(tr.AccessStream(), replay.Options{
 			Entries: s.BTBEntries,
 			Ways:    s.BTBWays,
@@ -161,8 +153,6 @@ func (e *Engine) execute(s Spec, sc spanScope) (*Outcome, error) {
 			Policy:  newPolicy(),
 			Hints:   ht,
 		})
-		sim.EndDetail("replay")
-		agg := sc.start("aggregate")
 		out.Instructions = tr.Instructions()
 		out.Accesses = r.Stats.Accesses
 		out.Hits = r.Stats.Hits
@@ -171,9 +161,7 @@ func (e *Engine) execute(s Spec, sc spanScope) (*Outcome, error) {
 		if out.Instructions > 0 {
 			out.MPKI = float64(out.Misses) / float64(out.Instructions) * 1000
 		}
-		agg.End()
 	default: // ModeTiming
-		sim := sc.start("simulate")
 		cfg := core.DefaultConfig()
 		cfg.BTBEntries = s.BTBEntries
 		cfg.BTBWays = s.BTBWays
@@ -192,8 +180,6 @@ func (e *Engine) execute(s Spec, sc spanScope) (*Outcome, error) {
 			cfg.Observer = telemetry.New(telemetry.Options{EpochInterval: attribution.DefaultWindow})
 		}
 		r := core.Run(tr, cfg)
-		sim.EndDetail("timing")
-		agg := sc.start("aggregate")
 		out.Instructions = r.Instructions
 		out.Cycles = r.Cycles
 		out.IPC = r.IPC()
@@ -211,7 +197,6 @@ func (e *Engine) execute(s Spec, sc spanScope) (*Outcome, error) {
 			sum := hq.HintSummary()
 			out.HintQual = &sum
 		}
-		agg.End()
 	}
 	return out, nil
 }

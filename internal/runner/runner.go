@@ -10,12 +10,12 @@
 //     slots, so parallel output is byte-identical to serial output at any
 //     pool width;
 //   - Spec, a canonical-JSON simulation config whose SHA-256 content hash
-//     keys a result cache (in-memory LRU plus an optional on-disk store),
-//     so repeated sweeps hit instead of resimulating;
+//     keys an in-memory LRU result cache, so repeated sweeps hit instead
+//     of resimulating;
 //   - Engine, which ties the two together with per-job panic isolation (a
 //     panicking job becomes a failed Result, not a crashed sweep), context
-//     cancellation checked at every job boundary, and telemetry counters,
-//     gauges, and latency histograms for the serving path.
+//     cancellation checked at every job boundary, and telemetry counters
+//     and gauges for the serving path.
 //
 // Determinism contract: nothing in this package (or in a job's execution
 // path) may read wall-clock time or ambient randomness — the thermolint

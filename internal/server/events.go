@@ -3,9 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
-	"strconv"
 	"time"
 
 	"thermometer/internal/runner"
@@ -13,10 +11,8 @@ import (
 
 // JobEvent is one entry in a job's append-only event log: either a
 // job-level state transition (queued → running → done/canceled) or a
-// per-spec progress notification from the runner. Seq numbers are dense and
-// start at 0, so an SSE client can resume from Last-Event-ID.
+// per-spec progress notification from the runner.
 type JobEvent struct {
-	Seq   int       `json:"seq"`
 	Time  time.Time `json:"time"`
 	Type  string    `json:"type"`            // "state" | "progress"
 	State string    `json:"state,omitempty"` // job state, for "state" events
@@ -24,9 +20,9 @@ type JobEvent struct {
 	Progress *SpecProgress `json:"progress,omitempty"` // for "progress" events
 }
 
-// SpecProgress is the per-spec payload of a progress event. Timestamps and
-// rates are computed here, in the serving layer that owns the clock — the
-// runner below reports only what happened, never when.
+// SpecProgress is the per-spec payload of a progress event. Durations are
+// computed here, in the serving layer that owns the clock — the runner
+// below reports only what happened, never when.
 type SpecProgress struct {
 	// Index is the spec's position in the submitted sweep.
 	Index int `json:"index"`
@@ -40,22 +36,13 @@ type SpecProgress struct {
 	// DurationMs is wall time from this spec's started event (terminal
 	// states only; 0 for cache hits that complete within clock resolution).
 	DurationMs float64 `json:"duration_ms,omitempty"`
-	// BlocksPerSec is simulated block throughput: BTB block lookups per
-	// wall-clock second over this spec's run.
-	BlocksPerSec float64 `json:"blocks_per_sec,omitempty"`
-	// Done and Total report sweep completion: specs finished so far out of
-	// the sweep size.
-	Done  int `json:"done"`
-	Total int `json:"total"`
 }
 
-// appendEventLocked assigns the next sequence number, appends the event to
-// the job's log, and nudges the job's watchers. Callers hold s.mu. The
-// notification send is non-blocking — a slow or gone SSE client can never
-// stall the dispatcher; the watcher re-reads the log from its cursor when
-// it wakes.
+// appendEventLocked appends the event to the job's log and nudges the
+// job's watchers. Callers hold s.mu. The notification send is non-blocking
+// — a slow or gone SSE client can never stall the dispatcher; the watcher
+// re-reads the log from its cursor when it wakes.
 func (s *Server) appendEventLocked(jobID string, ev JobEvent) {
-	ev.Seq = len(s.events[jobID])
 	s.events[jobID] = append(s.events[jobID], ev)
 	for _, ch := range s.watchers[jobID] {
 		select {
@@ -87,51 +74,34 @@ func (s *Server) watch(jobID string) (ch chan struct{}, cancel func()) {
 	}
 }
 
-// eventsSince returns a copy of the job's events from seq onward plus
-// whether the job has reached a terminal state. Terminal-state events are
-// appended under the same lock as the state change, so once terminal is
-// true and the log is drained there is nothing more to wait for.
-func (s *Server) eventsSince(jobID string, seq int) (evs []JobEvent, terminal bool) {
+// eventsSince returns a copy of the job's events from index i onward plus
+// whether the job has reached a terminal state. The terminal state event is
+// the last one appended, under the same lock as the state change, so once
+// terminal is true the returned events complete the log.
+func (s *Server) eventsSince(jobID string, i int) (evs []JobEvent, terminal bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	log := s.events[jobID]
-	if seq >= 0 && seq < len(log) {
-		evs = append(evs, log[seq:]...)
+	if log := s.events[jobID]; i < len(log) {
+		evs = append(evs, log[i:]...)
 	}
 	j := s.jobs[jobID]
 	terminal = j != nil && (j.State == StateDone || j.State == StateCanceled)
 	return evs, terminal
 }
 
-// Events returns a copy of a job's full event log (tests and debug tooling;
-// live consumers use the SSE stream).
-func (s *Server) Events(jobID string) []JobEvent {
-	evs, _ := s.eventsSince(jobID, 0)
-	return evs
-}
-
 // recordProgress translates a runner progress notification into a job
-// event, attaching wall-clock duration and block throughput from the
-// envelope clock. It is called from engine worker goroutines.
-func (s *Server) recordProgress(jobID string, total int, p runner.Progress) {
+// event, attaching the spec's wall-clock duration from the envelope clock.
+// It is called from engine worker goroutines.
+func (s *Server) recordProgress(jobID string, p runner.Progress) {
 	now := s.opts.Clock().UTC()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sp := &SpecProgress{Index: p.Index, State: p.State, Cached: p.Cached, Err: p.Err, Total: total}
+	sp := &SpecProgress{Index: p.Index, State: p.State, Cached: p.Cached, Err: p.Err}
 	if p.State == runner.ProgressStarted {
 		s.progStart[p.Index] = now
-		sp.Done = s.progDone
-	} else {
-		s.progDone++
-		sp.Done = s.progDone
-		if start, ok := s.progStart[p.Index]; ok {
-			d := now.Sub(start)
-			sp.DurationMs = float64(d) / float64(time.Millisecond)
-			if p.Accesses > 0 && d > 0 {
-				sp.BlocksPerSec = float64(p.Accesses) / d.Seconds()
-			}
-			delete(s.progStart, p.Index)
-		}
+	} else if start, ok := s.progStart[p.Index]; ok {
+		sp.DurationMs = float64(now.Sub(start)) / float64(time.Millisecond)
+		delete(s.progStart, p.Index)
 	}
 	s.appendEventLocked(jobID, JobEvent{Time: now, Type: "progress", Progress: sp})
 }
@@ -139,10 +109,9 @@ func (s *Server) recordProgress(jobID string, total int, p runner.Progress) {
 // handleEvents is GET /v1/jobs/{id}/events: a Server-Sent-Events stream of
 // the job's event log. Already-recorded events (including those of long-
 // finished jobs) are replayed first, then the stream follows the log live
-// and closes after the terminal state event. Clients may resume with the
-// standard Last-Event-ID header. The dispatcher never blocks on this
-// handler: it only nudges a buffered channel, and the handler re-reads the
-// shared log at its own pace.
+// and closes with an end event after the terminal state event. The
+// dispatcher never blocks on this handler: it only nudges a buffered
+// channel, and the handler re-reads the shared log at its own pace.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, ok := s.Job(id); !ok {
@@ -154,14 +123,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported by this connection")
 		return
 	}
-	cursor := 0
-	if lei := r.Header.Get("Last-Event-ID"); lei != "" {
-		// n+1 must not wrap: a hostile Last-Event-ID of MaxInt would turn
-		// the cursor negative and index the log with it.
-		if n, err := strconv.Atoi(lei); err == nil && n >= 0 && n < math.MaxInt {
-			cursor = n + 1
-		}
-	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no")
@@ -170,39 +131,22 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 	notify, cancel := s.watch(id)
 	defer cancel()
-	keepalive := time.NewTicker(s.opts.KeepAlive)
-	defer keepalive.Stop()
-	for {
+	for cursor := 0; ; {
 		evs, terminal := s.eventsSince(id, cursor)
 		for _, ev := range evs {
 			if err := writeSSE(w, ev); err != nil {
 				return // client gone
 			}
 		}
-		if len(evs) > 0 {
-			cursor += len(evs)
-			fl.Flush()
-		}
+		cursor += len(evs)
 		if terminal {
-			// The terminal state event is appended atomically with the
-			// state change, so a drained log means the stream is complete.
-			if evs, _ := s.eventsSince(id, cursor); len(evs) == 0 {
-				fmt.Fprintf(w, "event: end\ndata: {}\n\n")
-				fl.Flush()
-				return
-			}
-			continue
+			fmt.Fprintf(w, "event: end\ndata: {}\n\n")
+			fl.Flush()
+			return
 		}
+		fl.Flush()
 		select {
 		case <-notify:
-		case <-keepalive.C:
-			// An SSE comment: no id, no event, no data — clients (and the
-			// Last-Event-ID resume protocol) ignore it entirely; it exists
-			// only to keep intermediaries from timing out the connection.
-			if _, err := fmt.Fprint(w, ": keepalive\n\n"); err != nil {
-				return // client gone
-			}
-			fl.Flush()
 		case <-r.Context().Done():
 			return
 		}
@@ -214,6 +158,6 @@ func writeSSE(w http.ResponseWriter, ev JobEvent) error {
 	if err != nil {
 		return err
 	}
-	_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data)
+	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data)
 	return err
 }

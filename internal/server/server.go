@@ -19,14 +19,12 @@ import (
 
 	"thermometer/internal/runner"
 	"thermometer/internal/telemetry"
-	"thermometer/internal/telemetry/span"
 )
 
 // SweepRunner executes one sweep; *runner.Engine is the production
 // implementation. Implementations must return one result per spec, in
 // order, and honor context cancellation between jobs. The per-spec
-// lifecycle notifications they send fn feed the jobs SSE stream and the
-// /debug/sweep dashboard.
+// lifecycle notifications they send fn feed the jobs SSE stream.
 type SweepRunner interface {
 	SweepProgress(ctx context.Context, specs []runner.Spec, fn func(runner.Progress)) []runner.Result
 }
@@ -63,30 +61,22 @@ func (j *Job) clone() *Job {
 	return &c
 }
 
+// Bounds on outside input.
+const (
+	// queueDepth bounds the number of sweeps queued behind the running
+	// one; submissions beyond it are rejected with ErrQueueFull (HTTP 429).
+	queueDepth = 16
+	// maxSpecs bounds the grid size of one submission.
+	maxSpecs = 4096
+)
+
 // Options configures New.
 type Options struct {
-	// QueueDepth bounds the number of sweeps queued behind the running
-	// one; submissions beyond it are rejected with ErrQueueFull (HTTP
-	// 429). Default 16.
-	QueueDepth int
-	// MaxSpecs bounds the grid size of one submission. Default 4096.
-	MaxSpecs int
 	// Clock supplies envelope timestamps (nil = time.Now). Tests inject a
 	// fixed clock for deterministic envelopes.
 	Clock func() time.Time
 	// Metrics, when non-nil, receives thermod_* serving metrics.
 	Metrics *telemetry.Registry
-	// Spans, when non-nil, receives serving-side lifecycle spans per job:
-	// http_accept (decode+validate+enqueue), queue_wait (submit→dispatch),
-	// and sweep (dispatch→finish) under a root job span, with IDs derived
-	// from the job ID so repeat submissions trace identically.
-	Spans *span.Tracer
-	// KeepAlive is the idle interval after which the jobs SSE stream emits a
-	// ": keepalive" comment so proxies and load balancers don't reap quiet
-	// connections (long sweeps can go minutes between events). Comments carry
-	// no id: line, so they are invisible to Last-Event-ID resume. <= 0 means
-	// the 15s default.
-	KeepAlive time.Duration
 }
 
 // Sentinel submission failures; the HTTP layer maps them to status codes.
@@ -102,19 +92,17 @@ type Server struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*Job // guarded by mu
-	order    []string        // guarded by mu; submission order, for listing
 	queue    chan *Job
 	draining bool // guarded by mu
 	seq      int  // guarded by mu
 
-	// Per-job append-only event logs and their SSE watchers; progStart/
-	// progDone track the running job's per-spec wall times (the dispatcher
-	// runs one sweep at a time, so one set of slots suffices).
+	// Per-job append-only event logs and their SSE watchers; progStart
+	// holds the running job's per-spec start times (the dispatcher runs one
+	// sweep at a time, so one set of slots suffices).
 	events     map[string][]JobEvent            // guarded by mu
 	watchers   map[string]map[int]chan struct{} // guarded by mu
 	watcherSeq int                              // guarded by mu
 	progStart  map[int]time.Time                // guarded by mu
-	progDone   int                              // guarded by mu
 
 	runCtx    context.Context
 	runCancel context.CancelFunc
@@ -124,23 +112,14 @@ type Server struct {
 // New returns a serving Server; its dispatcher goroutine runs until
 // Shutdown.
 func New(r SweepRunner, opts Options) *Server {
-	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = 16
-	}
-	if opts.MaxSpecs <= 0 {
-		opts.MaxSpecs = 4096
-	}
 	if opts.Clock == nil {
 		opts.Clock = time.Now
-	}
-	if opts.KeepAlive <= 0 {
-		opts.KeepAlive = 15 * time.Second
 	}
 	s := &Server{
 		runner:    r,
 		opts:      opts,
 		jobs:      make(map[string]*Job),
-		queue:     make(chan *Job, opts.QueueDepth),
+		queue:     make(chan *Job, queueDepth),
 		done:      make(chan struct{}),
 		events:    make(map[string][]JobEvent),
 		watchers:  make(map[string]map[int]chan struct{}),
@@ -170,8 +149,8 @@ func (s *Server) Submit(specs []runner.Spec) (*Job, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("empty sweep: submit at least one spec")
 	}
-	if len(specs) > s.opts.MaxSpecs {
-		return nil, fmt.Errorf("sweep of %d specs exceeds the %d-spec limit", len(specs), s.opts.MaxSpecs)
+	if len(specs) > maxSpecs {
+		return nil, fmt.Errorf("sweep of %d specs exceeds the %d-spec limit", len(specs), maxSpecs)
 	}
 	normalized := make([]runner.Spec, len(specs))
 	for i, sp := range specs {
@@ -203,7 +182,6 @@ func (s *Server) Submit(specs []runner.Spec) (*Job, error) {
 		return nil, ErrQueueFull
 	}
 	s.jobs[job.ID] = job
-	s.order = append(s.order, job.ID)
 	s.appendEventLocked(job.ID, JobEvent{Time: job.SubmittedAt, Type: "state", State: StateQueued})
 	s.count("thermod_jobs_submitted")
 	s.setQueueGauge()
@@ -212,9 +190,7 @@ func (s *Server) Submit(specs []runner.Spec) (*Job, error) {
 
 // dispatch runs queued sweeps strictly in submission order, one at a time;
 // within a sweep the engine fans jobs out across its worker pool. Each
-// transition lands in the job's event log (driving the SSE stream), and the
-// span tracer receives the queue_wait and sweep stages of the job's
-// lifecycle trace.
+// transition lands in the job's event log (driving the SSE stream).
 func (s *Server) dispatch() {
 	defer close(s.done)
 	for job := range s.queue {
@@ -222,16 +198,13 @@ func (s *Server) dispatch() {
 		s.mu.Lock()
 		job.State = StateRunning
 		job.StartedAt = &now
-		s.progDone = 0
 		clear(s.progStart)
 		s.appendEventLocked(job.ID, JobEvent{Time: now, Type: "state", State: StateRunning})
 		s.setQueueGauge()
 		s.mu.Unlock()
-		s.recordSpan(job.ID, "queue_wait", job.SubmittedAt, now, "")
 
-		total := len(job.Specs)
 		results := s.runner.SweepProgress(s.runCtx, job.Specs, func(p runner.Progress) {
-			s.recordProgress(job.ID, total, p)
+			s.recordProgress(job.ID, p)
 		})
 
 		end := s.opts.Clock().UTC()
@@ -245,10 +218,6 @@ func (s *Server) dispatch() {
 		if s.runCtx.Err() != nil {
 			state = StateCanceled
 		}
-		// Spans first: a client that sees the terminal state must find the
-		// spans that describe the finished job.
-		s.recordSpan(job.ID, "sweep", now, end, state)
-		s.recordSpan(job.ID, "job", job.SubmittedAt, end, state)
 		s.mu.Lock()
 		job.Results = results
 		job.Failed = failed
@@ -257,34 +226,7 @@ func (s *Server) dispatch() {
 		s.appendEventLocked(job.ID, JobEvent{Time: end, Type: "state", State: state})
 		s.mu.Unlock()
 		s.count("thermod_jobs_completed")
-		if m := s.opts.Metrics; m != nil {
-			m.Histogram("thermod_sweep_latency_ms").Observe(uint64(end.Sub(now).Milliseconds()))
-		}
 	}
-}
-
-// recordSpan emits one serving-side span with caller-computed endpoints.
-// The root "job" span carries an empty parent; every other stage hangs off
-// it. IDs derive from the job ID, so a repeat of the same submission
-// sequence traces identically under a deterministic clock.
-func (s *Server) recordSpan(jobID, name string, start, end time.Time, detail string) {
-	t := s.opts.Spans
-	if t == nil {
-		return
-	}
-	var parent span.ID
-	if name != "job" {
-		parent = span.Derive(jobID, "job")
-	}
-	t.Record(span.Span{
-		Trace:  span.Derive(jobID),
-		ID:     span.Derive(jobID, name),
-		Parent: parent,
-		Name:   name,
-		Detail: detail,
-		Start:  start.UnixNano(),
-		Dur:    end.Sub(start).Nanoseconds(),
-	})
 }
 
 // Job returns a job by ID.
@@ -296,17 +238,6 @@ func (s *Server) Job(id string) (*Job, bool) {
 		return nil, false
 	}
 	return j.clone(), true
-}
-
-// Jobs returns all jobs in submission order.
-func (s *Server) Jobs() []*Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Job, len(s.order))
-	for i, id := range s.order {
-		out[i] = s.jobs[id].clone()
-	}
-	return out
 }
 
 // Shutdown drains the server: new submissions are rejected with

@@ -104,7 +104,7 @@ func TestSubmitRunGet(t *testing.T) {
 	s := newTestServer(t, &fakeRunner{}, Options{})
 	h := s.Handler()
 
-	w := post(t, h, `{"specs": [{"app": "kafka"}, {"app": "mysql", "policy": "srrip"}]}`)
+	w := post(t, h, `[{"app": "kafka"}, {"app": "mysql", "policy": "srrip"}]`)
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("submit = %d, body %s", w.Code, w.Body)
 	}
@@ -135,28 +135,6 @@ func TestSubmitRunGet(t *testing.T) {
 	if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"results"`) {
 		t.Fatalf("get = %d, body %s", w.Code, w.Body)
 	}
-	// Bare-array submission works too.
-	if w := post(t, h, `[{"app": "python"}]`); w.Code != http.StatusAccepted {
-		t.Fatalf("bare-array submit = %d, body %s", w.Code, w.Body)
-	}
-}
-
-func TestListJobs(t *testing.T) {
-	s := newTestServer(t, &fakeRunner{}, Options{})
-	h := s.Handler()
-	for _, app := range []string{"kafka", "mysql", "python"} {
-		if w := post(t, h, `[{"app": "`+app+`"}]`); w.Code != http.StatusAccepted {
-			t.Fatalf("submit %s = %d", app, w.Code)
-		}
-	}
-	waitState(t, s, "job-000003", StateDone)
-	var list []jobSummary
-	if err := json.Unmarshal(get(t, h, "/v1/jobs").Body.Bytes(), &list); err != nil {
-		t.Fatal(err)
-	}
-	if len(list) != 3 || list[0].ID != "job-000001" || list[2].ID != "job-000003" {
-		t.Fatalf("list wrong: %+v", list)
-	}
 }
 
 func TestMalformedSubmissions(t *testing.T) {
@@ -167,12 +145,13 @@ func TestMalformedSubmissions(t *testing.T) {
 		want string // substring of the error message
 	}{
 		{``, "empty body"},
-		{`{"specs": []}`, "at least one spec"},
+		{`[]`, "at least one spec"},
 		{`not json`, "malformed specs"},
+		{`{"specs": [{"app": "kafka"}]}`, "malformed specs"},
 		{`[{"app": "kafka", "policy": "belady"}]`, `spec[0]: unknown policy "belady"`},
 		{`[{"app": "kafka"}, {"app": "atlantis"}]`, `spec[1]: unknown app "atlantis"`},
 		{`[{"app": "kafka", "polciy": "lru"}]`, "unknown field"},
-		{`{"specs": [{"suite": "cbp5", "index": 100000}]}`, "out of range"},
+		{`[{"suite": "cbp5", "index": 100000}]`, "out of range"},
 	}
 	for _, c := range cases {
 		w := post(t, h, c.body)
@@ -198,16 +177,16 @@ func TestMalformedSubmissions(t *testing.T) {
 func TestBackpressure429(t *testing.T) {
 	fr := &fakeRunner{gate: make(chan struct{})}
 	reg := telemetry.NewRegistry()
-	s := newTestServer(t, fr, Options{QueueDepth: 2, Metrics: reg})
+	s := newTestServer(t, fr, Options{Metrics: reg})
 	h := s.Handler()
 
 	// First job is dequeued and starts running (blocked on the gate); the
-	// next two fill the depth-2 queue; the fourth must bounce with 429.
+	// next queueDepth fill the queue; the one after must bounce with 429.
 	if w := post(t, h, `[{"app": "kafka"}]`); w.Code != http.StatusAccepted {
 		t.Fatalf("submit 0 = %d, body %s", w.Code, w.Body)
 	}
 	waitState(t, s, "job-000001", StateRunning)
-	for i := 1; i < 3; i++ {
+	for i := 1; i <= queueDepth; i++ {
 		if w := post(t, h, `[{"app": "kafka"}]`); w.Code != http.StatusAccepted {
 			t.Fatalf("submit %d = %d, body %s", i, w.Code, w.Body)
 		}
@@ -221,6 +200,9 @@ func TestBackpressure429(t *testing.T) {
 	}
 	if reg.Counter("thermod_jobs_rejected_queue_full").Value() == 0 {
 		t.Error("rejection not counted")
+	}
+	if got := reg.Gauge("thermod_queue_depth").Value(); got != queueDepth {
+		t.Errorf("thermod_queue_depth = %d, want %d", got, queueDepth)
 	}
 
 	close(fr.gate) // release; Cleanup's Shutdown drains the rest
@@ -259,6 +241,55 @@ func TestGracefulDrain(t *testing.T) {
 		if j.State != StateDone {
 			t.Errorf("%s = %s after drain, want done", id, j.State)
 		}
+	}
+}
+
+// TestReadyzFlipsOnDrainStart pins the readiness contract: /readyz answers
+// 200 while the server accepts work and 503 the moment the drain begins —
+// while queued sweeps are still flushing, before the listener would close —
+// matching the instant Submit starts returning ErrDraining.
+func TestReadyzFlipsOnDrainStart(t *testing.T) {
+	fr := &fakeRunner{gate: make(chan struct{})}
+	s := newTestServer(t, fr, Options{})
+	h := s.Handler()
+	w := get(t, h, "/readyz")
+	if w.Code != http.StatusOK {
+		t.Fatalf("readyz while serving = %d, want 200", w.Code)
+	}
+	var body struct{ Status string }
+	if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil || body.Status != "ok" {
+		t.Fatalf("readyz body = %q (err %v), want status ok", w.Body.String(), err)
+	}
+
+	// Park a sweep on the gate so the drain has in-flight work, then start
+	// the shutdown. Readiness must flip before the drain finishes.
+	if _, err := s.Submit([]runner.Spec{{App: "kafka"}}); err != nil {
+		t.Fatal(err)
+	}
+	drainDone := make(chan error, 1)
+	drainCtx, cancelDrain := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancelDrain()
+	go func() { drainDone <- s.Shutdown(drainCtx) }()
+
+	deadline := time.Now().Add(2 * time.Second)
+	for !s.Draining() {
+		if time.Now().After(deadline) {
+			t.Fatal("drain never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if w := get(t, h, "/readyz"); w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("readyz during drain = %d, want 503", w.Code)
+	}
+	if _, err := s.Submit([]runner.Spec{{App: "kafka"}}); err != ErrDraining {
+		t.Fatalf("submit during drain = %v, want ErrDraining", err)
+	}
+	close(fr.gate) // release the parked sweep so the drain completes
+	if err := <-drainDone; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if w := get(t, h, "/readyz"); w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("readyz after drain = %d, want 503 (still not accepting work)", w.Code)
 	}
 }
 

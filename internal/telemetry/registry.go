@@ -6,7 +6,7 @@
 //
 // The package is deliberately free of simulator imports: the simulator
 // (package core) pushes plain numbers in, and sinks (JSON, CSV, Chrome
-// trace, expvar/pprof HTTP) pull snapshots out. Instrumentation is wired
+// trace) pull snapshots out. Instrumentation is wired
 // through an *Observer hung off core.Config; a nil Observer keeps the
 // simulator's hot loop on a branch-predicted fast path (see
 // BenchmarkObserverDisabled).

@@ -2,7 +2,7 @@ package telemetry
 
 // Ring is a bounded buffer that overwrites its oldest element when full, so
 // the last Cap() pushes of an unbounded stream stay available at a fixed
-// memory cost. The event tracer, the span tracer and the audit recorder's
+// memory cost. The event tracer and the audit recorder's
 // decision, heatmap and drift-window series all keep their history in one.
 // Not safe for concurrent use; owners serialize access.
 type Ring[T any] struct {

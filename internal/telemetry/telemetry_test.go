@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -307,24 +305,40 @@ func TestRegistryNamesAndReuse(t *testing.T) {
 	}
 }
 
-// TestObserverHTTP checks that /metrics serves the observer's live counters
-// (TestHandlerRoutesStatusAndContentType covers the other routes).
-func TestObserverHTTP(t *testing.T) {
-	obs := New(Options{EpochInterval: 10})
-	obs.Metrics.Counter("hits").Add(2)
-	srv := httptest.NewServer(obs.Handler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+// seededObserver builds an observer with a fixed, fully deterministic set of
+// metrics, epochs, and events — the same every call.
+func seededObserver() *Observer {
+	obs := New(Options{EpochInterval: 100, EventCap: 8})
+	obs.Metrics.Counter("btb_inserts").Add(7)
+	obs.Metrics.Counter("btb_evictions").Add(3)
+	obs.Metrics.Gauge("btb_capacity").Set(32768)
+	h := obs.Metrics.Histogram("ftq_lead_cycles")
+	for _, v := range []uint64{1, 2, 4, 8, 200} {
+		h.Observe(v)
 	}
-	defer resp.Body.Close()
-	var rep Report
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		t.Fatalf("live /metrics not valid JSON: %v", err)
+	obs.Epochs.Tick(&Cumulative{Instructions: 120, Cycles: 150, BTBAccesses: 30, BTBHits: 25, BTBMisses: 5})
+	obs.Epochs.Finish(&Cumulative{Instructions: 170, Cycles: 220, BTBAccesses: 41, BTBHits: 33, BTBMisses: 8})
+	obs.Events.Record(Event{Cycle: 10, PC: 0x401000, Arg: 0x402000, Kind: EvInsert, Temp: 3})
+	obs.Events.Record(Event{Cycle: 20, PC: 0x401000, Arg: 0x401000, Kind: EvEvict})
+	return obs
+}
+
+// Identically seeded observers must write byte-identical reports: thermod's
+// /metrics body and btbsim's -metrics file inherit the repo-wide
+// determinism contract.
+func TestMetricsBodyDeterministic(t *testing.T) {
+	bodies := make([]bytes.Buffer, 2)
+	for i := range bodies {
+		if err := seededObserver().WriteJSON(&bodies[i], map[string]string{"policy": "lru"}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if rep.Metrics.Counters["hits"] != 2 {
-		t.Fatalf("live counters = %+v", rep.Metrics.Counters)
+	if bodies[0].Len() == 0 {
+		t.Fatal("empty report")
+	}
+	if bodies[0].String() != bodies[1].String() {
+		t.Fatalf("report not deterministic across identically seeded runs:\n%s\n----\n%s",
+			bodies[0].String(), bodies[1].String())
 	}
 }
 
